@@ -18,7 +18,18 @@ coefficient.
 Array convention: vertex fields of a level with n cells per axis are
 (n+1, n+1) arrays indexed [i, j], i along x.  Stencil tables are
 (n+1, n+1, 3, 3) with table[i, j, a, b] coupling vertex (i, j) to
-(i+a-1, j+b-1).
+(i+a-1, j+b-1).  Transfer tables are (nc+1, nc+1, 7, 7) with
+table[i, j, a, b] the weight between coarse vertex (i, j) and fine vertex
+(3i+a-3, 3j+b-3).
+
+The table transfers work on whole levels.  Restriction, by P or by the
+smoothed R~, contracts the table with a view of the 7x7 windows at stride
+3 of the fine field zero-padded by 3.  Prolongation splits each offset as
+o+3 = 3q + r (q, r in 0..2): fine vertex 3v+o is entry r of block v+q of
+the fine field padded by 3 and viewed as (nc+3, 3, nc+3, 3).  The 3x3
+blocks of P that hold a nonzero weight (the four with q in {0, 1}, as P
+has no weight at offsets +-3) are kept as contiguous (nc+1, 3, nc+1, 3)
+copies and added with one operation each.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .discretization import ELEMENT_MATRIX_UNIT, CORNER_OFFSETS, interior_stencil
 
@@ -214,9 +226,6 @@ class ElementOperator:
             for b, (b0, b1) in enumerate(CORNER_OFFSETS):
                 s[b0 - a0 + 1, b1 - a1 + 1] += eps * ELEMENT_MATRIX_UNIT[a, b]
         return s
-
-    def element_matrix_at(self, ci: int, cj: int) -> np.ndarray:
-        return self.eps[ci, cj] * ELEMENT_MATRIX_UNIT
 
 
 class TableOperator:
@@ -443,38 +452,86 @@ def geometric_p_table(nc: int) -> np.ndarray:
     return np.broadcast_to(base, (nc + 1, nc + 1, 7, 7))
 
 
+# -- table-driven transfers -------------------------------------------------
+
+
+def _contract_windows(fine: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """out[v] = sum_o table[v, o] * fine[3v + o] over the 7x7 offsets o.
+
+    table is (nc+1, nc+1, 7, 7) or one (7, 7) stencil for all v; fine
+    samples outside the grid read as zero.
+    """
+    pad = np.zeros((fine.shape[0] + 6, fine.shape[1] + 6))
+    pad[3:-3, 3:-3] = fine
+    windows = sliding_window_view(pad, (7, 7))[::3, ::3]
+    return np.einsum("...ab,...ab->...", windows, table)
+
+
+def _p_blocks(p_table: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """The 3x3 blocks (qi, qj) of P holding a nonzero weight, each as a
+    contiguous (nc+1, 3, nc+1, 3) array [vi, ri, vj, rj] of the weight at
+    offset (3qi+ri-3, 3qj+rj-3)."""
+    nc1 = p_table.shape[0]
+    blocks = []
+    for qi in range(3):
+        for qj in range(3):
+            sub = p_table[:, :, 3 * qi : 3 * qi + 3, 3 * qj : 3 * qj + 3]
+            if not sub.any():
+                continue
+            blk = np.zeros((nc1, 3, nc1, 3))
+            blk[:, : sub.shape[2], :, : sub.shape[3]] = sub.transpose(0, 2, 1, 3)
+            blocks.append((qi, qj, blk))
+    return blocks
+
+
+def _prolong_blocks(coarse: np.ndarray, blocks) -> np.ndarray:
+    """fine[f] = sum of p[v, o] * coarse[v] over 3v + o == f, from the
+    blocks of _p_blocks; targets outside the grid are dropped."""
+    nc = coarse.shape[0] - 1
+    fine = np.zeros((nc + 3, 3, nc + 3, 3))
+    # spread coarse over the block layout once: products of equal-shaped
+    # arrays run faster than a broadcast over the length-3 inner axes
+    c = np.empty((nc + 1, 3, nc + 1, 3))
+    c[...] = coarse[:, None, :, None]
+    for qi, qj, blk in blocks:
+        fine[qi : qi + nc + 1, :, qj : qj + nc + 1, :] += blk * c
+    fine = fine.reshape(3 * nc + 9, 3 * nc + 9)
+    return fine[3 : 3 * nc + 4, 3 : 3 * nc + 4]
+
+
 def ritz_galerkin_coarse(fine_table_masked: np.ndarray, p_table: np.ndarray) -> np.ndarray:
     """Coarse stencil table A_c = R A P from fine stencils and P weights.
 
     fine_table_masked must have rows zeroed at vertices without test
     functions (Dirichlet, hanging); restriction only gathers residuals from
     equation-carrying vertices.  R = P^T.
+
+    A_c is probed with nine coloured coarse vectors e_c, 1 at the vertices
+    v with v mod 3 == c.  P has no weight at offsets +-3, so R A P couples
+    vertices at most one apart and no two vertices of one colour share a
+    row: entry dw of vertex w is (R A P e_c)[w] for c = (w + dw) mod 3.
+    Entries towards vertices outside the grid come out zero, as no vertex
+    of their colour lies within reach.
     """
+    if p_table[:, :, ::6].any() or p_table[:, :, :, ::6].any():
+        raise ValueError("prolongation weights at offsets +-3 must vanish")
     nc = p_table.shape[0] - 1
-    out = np.zeros((nc + 1, nc + 1, 3, 3))
-    pad = np.zeros((nc + 3, nc + 3, 7, 7))
-    pad[1:-1, 1:-1] = p_table
-    for oi in range(-2, 3):
-        for oj in range(-2, 3):
-            r_w = p_table[:, :, oi + 3, oj + 3]
-            if not np.any(r_w):
-                continue
-            arow = _gather_vertex(fine_table_masked, oi, oj, nc)  # (nc+1,nc+1,3,3)
-            for si in (-1, 0, 1):
-                for sj in (-1, 0, 1):
-                    acoef = arow[:, :, si + 1, sj + 1]
-                    ti, tj = oi + si, oj + sj
-                    for dwi in (-1, 0, 1):
-                        pi = ti - 3 * dwi
-                        if not -3 <= pi <= 3:
-                            continue
-                        for dwj in (-1, 0, 1):
-                            pj = tj - 3 * dwj
-                            if not -3 <= pj <= 3:
-                                continue
-                            p_w = pad[1 + dwi : nc + 2 + dwi, 1 + dwj : nc + 2 + dwj,
-                                      pi + 3, pj + 3]
-                            out[:, :, dwi + 1, dwj + 1] += r_w * acoef * p_w
+    blocks = _p_blocks(p_table)
+    op = TableOperator(fine_table_masked)
+    probed = np.empty((3, 3, nc + 1, nc + 1))
+    for ci in range(3):
+        for cj in range(3):
+            e = np.zeros((nc + 1, nc + 1))
+            e[ci::3, cj::3] = 1.0
+            ape = op.apply(_prolong_blocks(e, blocks))
+            probed[ci, cj] = _contract_windows(ape, p_table)
+    v = np.arange(nc + 1)
+    out = np.empty((nc + 1, nc + 1, 3, 3))
+    for a in range(3):
+        for b in range(3):
+            colour_i = ((v + a - 1) % 3)[:, None]
+            colour_j = ((v + b - 1) % 3)[None, :]
+            out[:, :, a, b] = probed[colour_i, colour_j, v[:, None], v[None, :]]
     return out
 
 
@@ -566,66 +623,23 @@ class TransferOps:
         # set when rtilde is exactly the unit-coefficient composition, which
         # then evaluates via one stencil pass plus a separable restriction
         self.rtilde_omega = rtilde_omega
+        self._blocks = None if p_table is None else _p_blocks(p_table)
 
     def prolong(self, coarse: np.ndarray) -> np.ndarray:
         if self.p_table is None:
             return prolong_values(coarse)
-        nf = 3 * self.nc
-        fine = np.zeros((nf + 1, nf + 1))
-        for oi in range(-3, 4):
-            for oj in range(-3, 4):
-                w = self.p_table[:, :, oi + 3, oj + 3]
-                if not np.any(w):
-                    continue
-                self._scatter(fine, w * coarse, oi, oj)
-        return fine
-
-    def prolong_values(self, coarse: np.ndarray) -> np.ndarray:
-        return prolong_values(coarse)
+        return _prolong_blocks(coarse, self._blocks)
 
     def restrict(self, fine: np.ndarray) -> np.ndarray:
         if self.p_table is None:
             return restrict_dlinear(fine)
-        out = np.zeros((self.nc + 1, self.nc + 1))
-        for oi in range(-3, 4):
-            for oj in range(-3, 4):
-                w = self.p_table[:, :, oi + 3, oj + 3]
-                if not np.any(w):
-                    continue
-                out += w * _gather_vertex(fine, oi, oj, self.nc)
-        return out
+        return _contract_windows(fine, self.p_table)
 
     def restrict_smoothed(self, fine: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.nc + 1, self.nc + 1))
         if self.rtilde is None:
-            return out
+            return np.zeros((self.nc + 1, self.nc + 1))
         if self.rtilde_omega is not None and self.p_table is None:
             smoothed = apply_constant_stencil(fine, interior_stencil(1.0))
             smoothed *= self.rtilde_omega * 3.0 / 8.0
             return restrict_dlinear(smoothed)
-        const = self.rtilde.ndim == 2
-        for oi in range(-3, 4):
-            for oj in range(-3, 4):
-                w = self.rtilde[oi + 3, oj + 3] if const else self.rtilde[:, :, oi + 3, oj + 3]
-                if const and w == 0.0:
-                    continue
-                out += w * _gather_vertex(fine, oi, oj, self.nc)
-        return out
-
-    def p_weights_at(self, vi: int, vj: int) -> np.ndarray:
-        if self.p_table is not None:
-            return self.p_table[vi, vj]
-        return geometric_prolongation().values
-
-    def rtilde_weights_at(self, vi: int, vj: int) -> np.ndarray:
-        if self.rtilde is None:
-            return np.zeros((7, 7))
-        return self.rtilde if self.rtilde.ndim == 2 else self.rtilde[vi, vj]
-
-    def _scatter(self, fine: np.ndarray, weighted: np.ndarray, oi: int, oj: int) -> None:
-        nc, nf = self.nc, fine.shape[0] - 1
-        idx_i = 3 * np.arange(nc + 1) + oi
-        idx_j = 3 * np.arange(nc + 1) + oj
-        vi = (idx_i >= 0) & (idx_i <= nf)
-        vj = (idx_j >= 0) & (idx_j <= nf)
-        fine[np.ix_(idx_i[vi], idx_j[vj])] += weighted[np.ix_(vi, vj)]
+        return _contract_windows(fine, self.rtilde)

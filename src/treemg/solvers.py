@@ -480,13 +480,3 @@ class ReferenceEngine:
                 else:
                     b[l - 1] = self.transfers[l - 1].restrict(rho) + self._rhs(l - 1)
         return self.finalize_stats(stats)
-
-    def fine_solution(self) -> np.ndarray:
-        return self.tree.u[self.ltop]
-
-    def composite_solution(self) -> dict[int, np.ndarray]:
-        out = {}
-        for l in range(self.tree.lmin, self.ltop + 1):
-            mask = self.masks[l]["composite"]
-            out[l] = np.where(mask, self.tree.u[l], 0.0)
-        return out

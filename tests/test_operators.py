@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treemg.discretization import interior_stencil
+from treemg.discretization import half_domain_jump, interior_stencil
 from treemg.operators import (
     ElementOperator,
     Stencil,
@@ -19,6 +19,8 @@ from treemg.operators import (
     smoothed_restriction,
     smoothed_restriction_table,
 )
+from treemg.oracle import build_hierarchy
+from treemg.spacetree import CellId, VertexKind, build_regular
 
 # Regression values of the smoothed restriction for eps = 1, omega = 1.
 # Independently derived by composing R, the 9-point operator and the inverse
@@ -268,3 +270,134 @@ def test_transfer_ops_geometric_and_table_paths_agree():
     tab = TransferOps(nc, np.ascontiguousarray(geometric_p_table(nc)), None)
     assert np.allclose(geo.prolong(coarse), tab.prolong(coarse), atol=1e-13)
     assert np.allclose(geo.restrict(fine), tab.restrict(fine), atol=1e-13)
+
+
+# -- table-driven transfers -------------------------------------------------
+
+
+def boxmg_level(nc, partial):
+    """BoxMG P from a half-jump tree, its raw fine table and dof mask.
+
+    With partial set only some coarse cells are refined, so the fine level
+    has hanging vertices whose P weights are the d-linear ones.
+    """
+    l = round(np.log(nc) / np.log(3))
+    tree = build_regular(max(l, 1), lmax=l + 1, field=half_domain_jump(3))
+    cells = [CellId(l, i, j) for i in range(nc) for j in range(nc)]
+    tree.refine_many(cells[: len(cells) // 2] if partial else cells)
+    kinds = tree.vertex_kinds(l + 1)
+    assert (kinds == VertexKind.HANGING).any() == partial
+    raw = assemble_stencil_table(tree.eps[l + 1] * tree.cells_exist(l + 1))
+    refined = tree.refined[l] & tree.cells_exist(l)
+    p = boxmg_prolongation(raw, refined, kinds, VertexKind.HANGING)
+    return p, raw, tree.dof_mask(l + 1)
+
+
+def contract_by_definition(table, fine):
+    """out[v] = sum_o table[v, o] fine[3v + o], one vertex at a time."""
+    nc = table.shape[0] - 1
+    nf = 3 * nc
+    out = np.zeros((nc + 1, nc + 1))
+    for vi in range(nc + 1):
+        for vj in range(nc + 1):
+            for oi in range(-3, 4):
+                for oj in range(-3, 4):
+                    fi, fj = 3 * vi + oi, 3 * vj + oj
+                    if 0 <= fi <= nf and 0 <= fj <= nf:
+                        out[vi, vj] += table[vi, vj, oi + 3, oj + 3] * fine[fi, fj]
+    return out
+
+
+@pytest.mark.parametrize("nc, partial", [(1, False), (3, False), (9, False), (3, True), (9, True)])
+def test_table_prolong_of_unit_vectors_reproduces_weights(nc, partial):
+    p, _, _ = boxmg_level(nc, partial)
+    # weights towards fine vertices outside the grid are dropped up front
+    assert np.abs(p[~in_range_mask(nc)]).max() == 0.0
+    ops = TransferOps(nc, p, None)
+    padded = np.zeros((3 * nc + 7, 3 * nc + 7))
+    for vi in range(nc + 1):
+        for vj in range(nc + 1):
+            e = np.zeros((nc + 1, nc + 1))
+            e[vi, vj] = 1.0
+            padded[:] = 0.0
+            padded[3 * vi : 3 * vi + 7, 3 * vj : 3 * vj + 7] = p[vi, vj]
+            assert np.array_equal(ops.prolong(e), padded[3:-3, 3:-3])
+
+
+@pytest.mark.parametrize("partial", [False, True])
+def test_table_restrict_is_prolong_transpose(partial):
+    rng = np.random.default_rng(23)
+    nc = 9
+    ops = TransferOps(nc, boxmg_level(nc, partial)[0], None)
+    c = rng.standard_normal((nc + 1, nc + 1))
+    f = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
+    lhs = float((ops.prolong(c) * f).sum())
+    rhs = float((c * ops.restrict(f)).sum())
+    assert abs(lhs - rhs) <= 1e-13 * max(abs(lhs), 1.0)
+    assert np.allclose(ops.restrict(f), contract_by_definition(ops.p_table, f), atol=1e-13)
+
+
+def test_table_restrict_smoothed_reads_the_table():
+    rng = np.random.default_rng(29)
+    nc = 9
+    p, raw, dof = boxmg_level(nc, partial=True)
+    masked = raw * dof[:, :, None, None]
+    diag = TableOperator(raw).diag()
+    f = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
+    unit = smoothed_restriction_table(p, 0.6)
+    true = smoothed_restriction_table(p, 0.6, fine_table=masked, fine_diag=diag)
+    assert np.abs(unit - true).max() > 1e-3
+    for rt in (unit, true):
+        got = TransferOps(nc, p, rt).restrict_smoothed(f)
+        assert np.allclose(got, contract_by_definition(rt, f), atol=1e-13)
+    # one constant stencil for every vertex
+    const = smoothed_restriction(0.6)
+    got = TransferOps(nc, p, const).restrict_smoothed(f)
+    want = contract_by_definition(np.broadcast_to(const, (nc + 1, nc + 1, 7, 7)), f)
+    assert np.allclose(got, want, atol=1e-13)
+
+
+def test_probed_ritz_galerkin_matches_dense_oracle():
+    h = build_hierarchy(1, 3, half_domain_jump(3), flavor="boxmg")
+    for l in (1, 2):
+        coarse, fine = h.levels[l], h.levels[l + 1]
+        nc = coarse.n
+        # the dense operators in the stencil-table layouts
+        p_tbl = np.zeros((nc + 1, nc + 1, 7, 7))
+        for ci in range(nc + 1):
+            for cj in range(nc + 1):
+                for oi in range(-3, 4):
+                    for oj in range(-3, 4):
+                        fi, fj = 3 * ci + oi, 3 * cj + oj
+                        if 0 <= fi <= fine.n and 0 <= fj <= fine.n:
+                            p_tbl[ci, cj, oi + 3, oj + 3] = h.p[l][fine.idx(fi, fj), coarse.idx(ci, cj)]
+        a_tbl = np.zeros((fine.n + 1, fine.n + 1, 3, 3))
+        for i in range(fine.n + 1):
+            for j in range(fine.n + 1):
+                for a in range(3):
+                    for b in range(3):
+                        ti, tj = i + a - 1, j + b - 1
+                        if 0 <= ti <= fine.n and 0 <= tj <= fine.n:
+                            a_tbl[i, j, a, b] = fine.a[fine.idx(i, j), fine.idx(ti, tj)]
+        rap = ritz_galerkin_coarse(a_tbl, p_tbl)
+        want = h.p[l].T @ fine.a @ h.p[l]
+        scale = np.abs(want).max()
+        for i in range(nc + 1):
+            for j in range(nc + 1):
+                row = np.zeros(coarse.nv)
+                for a in range(3):
+                    for b in range(3):
+                        ti, tj = i + a - 1, j + b - 1
+                        if 0 <= ti <= nc and 0 <= tj <= nc:
+                            row[coarse.idx(ti, tj)] = rap[i, j, a, b]
+                        else:
+                            assert rap[i, j, a, b] == 0.0
+                assert np.abs(row - want[coarse.idx(i, j)]).max() < 1e-13 * scale
+
+
+def test_probed_ritz_galerkin_rejects_weights_at_offset_three():
+    masked = assemble_stencil_table(np.ones((9, 9)))
+    p = np.ascontiguousarray(geometric_p_table(3))
+    p[1, 1, 0, 3] = 0.5
+    with pytest.raises(ValueError):
+        ritz_galerkin_coarse(masked, p)
