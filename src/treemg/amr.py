@@ -9,6 +9,12 @@ difference of the solution along the coordinate axes and refines around the
 whole bins are taken from the top until the decile is covered, so marking
 is deterministic and never splits a bin.
 
+Marks are whole-level boolean arrays, the vectorised form of per-cell
+refinement flags: vertex marks are shaped like ``tree.u[l]``, cell marks
+like ``tree.refined[l]``, one array per level in a list indexed by level.
+A vertex marks the existing unrefined cells around it through a 2x2 OR of
+shifted masks, and the spacetree refines a whole level's mask at once.
+
 New vertices are initialized d-linearly by the spacetree; operator and
 state rebuilds after a regrid are the solver engines' responsibility.
 """
@@ -19,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spacetree import CellId, Spacetree, VertexId, VertexKind
+from .spacetree import Spacetree, VertexKind
 
 __all__ = [
     "RefinePolicy",
@@ -40,9 +46,9 @@ class RefinePolicy:
 
     def __post_init__(self):
         if not 0.0 < self.decile < 1.0:
-            raise ValueError("decile must lie in (0, 1)")
+            raise ValueError(f"decile must lie in (0, 1), got {self.decile}")
         if self.boundary_cadence < 1:
-            raise ValueError("boundary cadence must be positive")
+            raise ValueError(f"boundary_cadence must be positive, got {self.boundary_cadence}")
 
 
 @dataclass
@@ -55,18 +61,17 @@ class RegridReport:
         return self.refined_cells > 0
 
 
-def mark_boundary(tree: Spacetree, cycle: int, policy: RefinePolicy = RefinePolicy()) -> set[CellId]:
-    """Leaf cells with a face on the heated edge y = 0, every other cycle."""
-    if cycle % policy.boundary_cadence != 0:
-        return set()
-    marks: set[CellId] = set()
-    for l in range(tree.depth, -1, -1):
-        if l >= tree.lmax:
-            continue
-        exists = tree.cells_exist(l)
-        refined = tree.refined[l]
-        for i in np.nonzero(exists[:, 0] & ~refined[:, 0])[0]:
-            marks.add(CellId(l, int(i), 0))
+def mark_boundary(tree: Spacetree, cycle: int,
+                  policy: RefinePolicy = RefinePolicy()) -> list[np.ndarray]:
+    """Leaf cells with a face on the heated edge y = 0, every other cycle.
+
+    One cell mask per level 0..lmax-1, shaped like ``tree.refined``; all
+    masks are empty on the cycles the cadence skips.
+    """
+    marks = [np.zeros_like(r) for r in tree.refined]
+    if cycle % policy.boundary_cadence == 0:
+        for l, mark in enumerate(marks):
+            mark[:, 0] = tree.cells_exist(l)[:, 0] & ~tree.refined[l][:, 0]
     return marks
 
 
@@ -96,21 +101,22 @@ def curvature_indicators(tree: Spacetree, level: int) -> np.ndarray:
     return ind * inv_h2
 
 
-def mark_curvature(tree: Spacetree, policy: RefinePolicy = RefinePolicy()) -> set[VertexId]:
+def mark_curvature(tree: Spacetree, policy: RefinePolicy = RefinePolicy()) -> list[np.ndarray]:
     """Vertices carrying approximately the top decile of the indicator.
 
     The indicator is evaluated at composite vertices (the finest vertex at
     each position).  Bin sorting over (0, max]: zero indicators never mark,
     and bins are taken whole from the top until the decile of the composite
-    vertex count is reached.
+    vertex count is reached.  Returns one vertex mask per level 0..depth;
+    levels below lmin never mark.
     """
+    marks = [np.zeros(tree.u[l].shape, dtype=bool) for l in range(tree.depth + 1)]
+    levels = range(tree.lmin, tree.depth + 1)
+    scale = max([1.0] + [float(np.abs(tree.u[l]).max()) for l in levels])
     per_level: list[tuple[int, np.ndarray, np.ndarray]] = []
     values = []
     total = 0
-    scale = 1.0
-    for l in range(tree.lmin, tree.depth + 1):
-        scale = max(scale, float(np.abs(tree.u[l]).max()))
-    for l in range(tree.lmin, tree.depth + 1):
+    for l in levels:
         comp = tree.composite_mask(l)
         total += int(comp.sum())
         ind = np.where(comp, curvature_indicators(tree, l), 0.0)
@@ -120,15 +126,10 @@ def mark_curvature(tree: Spacetree, policy: RefinePolicy = RefinePolicy()) -> se
         per_level.append((l, ind, comp))
         vals = ind[comp]
         values.append(vals[vals > 0.0])
-    if total == 0:
-        return set()
-    allvals = np.concatenate(values) if values else np.array([])
+    allvals = np.concatenate(values) if values else np.empty(0)
     if allvals.size == 0:
-        return set()
-    top = float(allvals.max())
-    if top <= 0.0:
-        return set()
-    edges = np.linspace(0.0, top, policy.bins + 1)
+        return marks
+    edges = np.linspace(0.0, float(allvals.max()), policy.bins + 1)
     counts, _ = np.histogram(allvals, bins=edges)
     want = policy.decile * total
     cum = 0
@@ -139,33 +140,26 @@ def mark_curvature(tree: Spacetree, policy: RefinePolicy = RefinePolicy()) -> se
         if cum >= want:
             break
     threshold = edges[cut_bin]
-    marks: set[VertexId] = set()
     for l, ind, comp in per_level:
-        sel = comp & (ind > threshold) if threshold > 0.0 else comp & (ind > 0.0)
-        for i, j in zip(*np.nonzero(sel)):
-            marks.add(VertexId(l, int(i), int(j)))
+        marks[l] = comp & (ind > threshold)
     return marks
 
 
-def cells_for_vertices(tree: Spacetree, vertices: set[VertexId]) -> set[CellId]:
-    """Unrefined existing cells adjacent to the marked vertices."""
-    cells: set[CellId] = set()
-    for v in vertices:
-        if v.level >= tree.lmax:
-            continue
-        n = 3**v.level
-        for ci in (v.i - 1, v.i):
-            for cj in (v.j - 1, v.j):
-                if not (0 <= ci < n and 0 <= cj < n):
-                    continue
-                cell = CellId(v.level, ci, cj)
-                if tree.cell_exists(cell) and not tree.is_refined(cell):
-                    cells.add(cell)
+def cells_for_vertices(tree: Spacetree, vmarks: list[np.ndarray]) -> list[np.ndarray]:
+    """Unrefined existing cells adjacent to a marked vertex.
+
+    Takes per-level vertex masks and returns per-level cell masks shaped
+    like ``tree.refined``: a cell is marked when any of its four corners is.
+    """
+    cells = [np.zeros_like(r) for r in tree.refined]
+    for l, m in enumerate(vmarks[: tree.lmax]):
+        near = m[:-1, :-1] | m[1:, :-1] | m[:-1, 1:] | m[1:, 1:]
+        cells[l] = near & tree.cells_exist(l) & ~tree.refined[l]
     return cells
 
 
-def apply_refinement(tree: Spacetree, cells: set[CellId]) -> RegridReport:
-    """Refine the marked cells, coarse levels first."""
-    todo = [c for c in sorted(cells) if not tree.is_refined(c) and c.level < tree.lmax]
-    made = tree.refine_many(todo)
-    return RegridReport(len(todo), len(made))
+def apply_refinement(tree: Spacetree, marks: list[np.ndarray]) -> RegridReport:
+    """Refine the cells of the per-level masks, coarse levels first."""
+    todo = sum(int((m & ~r).sum()) for m, r in zip(marks, tree.refined))
+    made = tree.refine_many(marks)
+    return RegridReport(todo, sum(int(m.sum()) for m in made))

@@ -101,6 +101,15 @@ class ExperimentConfig:
             raise ConfigError(f"target must be positive, got {self.target}")
         if self.max_cycles < 0:
             raise ConfigError(f"max_cycles must be non-negative, got {self.max_cycles}")
+        # the cycle-0 residual normalises to 1, so a lower threshold trips at once
+        if not self.divergence >= 1.0:
+            raise ConfigError(f"divergence must be at least 1, got {self.divergence}")
+        try:
+            self.refine_policy()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.amr and self.lmin > 2:
+            raise ConfigError(f"amr starts from two levels, lmin must be at most 2, got {self.lmin}")
         if self.variant == "multiplicative-v10" and (self.amr or self.lmax - self.lmin != 1):
             raise ConfigError("multiplicative-v10 is a two-grid regular reference only")
 
@@ -206,8 +215,9 @@ def run(cfg: ExperimentConfig) -> RunResult:
         if not amr_steady:
             marks = mark_boundary(tree, n, policy)
             if n % policy.boundary_cadence == 0:
-                marks |= cells_for_vertices(tree, mark_curvature(tree, policy))
-                if marks:
+                for m, c in zip(marks, cells_for_vertices(tree, mark_curvature(tree, policy))):
+                    m |= c
+                if any(m.any() for m in marks):
                     empty_regrids = 0
                     apply_refinement(tree, marks)
                     engine.rebuild()

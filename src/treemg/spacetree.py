@@ -13,6 +13,14 @@ single-touch property of the depth-first traversal is enforced by contract
 and checked by instrumentation counters, not by stack mechanics.  Hanging
 vertices are not held persistently: their values are re-interpolated from
 the parent level whenever they are needed.
+
+Refinement works on whole levels: ``refine_many`` takes one boolean cell
+mask per level, shaped like ``refined[l]``, sets the marked cells, and finds
+the child vertices that gain their first adjacent cell by comparing
+adjacent-cell counts before and after.  Those get d-linear values from the
+parent level in one masked assignment, and the boundary data on the edge.
+``CellId``/``VertexId`` remain for the traversal API and single-cell
+queries.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .discretization import EpsilonField, boundary_value, constant_field, epsilon_cells
+from .discretization import EpsilonField, constant_field, epsilon_cells
 from .operators import prolong_values
 
 __all__ = [
@@ -32,7 +40,6 @@ __all__ = [
     "Spacetree",
     "build_regular",
     "traverse",
-    "refine_cell",
     "TraversalCounters",
     "PEANO_CHILD_ORDER",
     "LEX_CHILD_ORDER",
@@ -213,9 +220,9 @@ class Spacetree:
     def refine(self, cell: CellId) -> set[VertexId] | None:
         """Refine one cell; returns the set of newly created vertices.
 
-        Refining a cell at lmax is a no-op and returns None.  New vertices
-        get d-linearly interpolated solution values; boundary vertices get
-        the boundary data.
+        Refining a cell at lmax is a no-op and returns None; a cell that
+        does not exist or is already refined raises.  New vertices are
+        initialized as in refine_many.
         """
         if not self.cell_exists(cell):
             raise ValueError(f"cell {cell} does not exist")
@@ -223,88 +230,47 @@ class Spacetree:
             return None
         if self.is_refined(cell):
             raise ValueError(f"cell {cell} is already refined")
+        marks = [np.zeros_like(r) for r in self.refined[: cell.level + 1]]
+        marks[cell.level][cell.i, cell.j] = True
+        made = self.refine_many(marks)[cell.level + 1]
+        return {VertexId(cell.level + 1, int(i), int(j)) for i, j in zip(*np.nonzero(made))}
 
-        child_level = cell.level + 1
-        self._ensure_level_arrays(child_level)
-        counts_before = self.adjacent_cell_count(child_level)
-        self.refined[cell.level][cell.i, cell.j] = True
-        self.invalidate_kinds(cell.level)
-        self.invalidate_kinds(child_level)
-        counts_after = self.adjacent_cell_count(child_level)
+    def refine_many(self, marks: list[np.ndarray]) -> list[np.ndarray]:
+        """Refine the cells of per-level masks, coarse levels first.
 
-        created: set[VertexId] = set()
-        new_mask = (counts_before == 0) & (counts_after > 0)
-        n = 3**child_level
-        for i, j in zip(*np.nonzero(new_mask)):
-            created.add(VertexId(child_level, int(i), int(j)))
-            x, y = i / n, j / n
-            if i == 0 or j == 0 or i == n or j == n:
-                self.u[child_level][i, j] = boundary_value(x, y)
-            else:
-                self.u[child_level][i, j] = self._interpolate_from_parent(child_level, int(i), int(j))
-        return created
-
-    def refine_many(self, cells) -> set[VertexId]:
-        """Batched refinement, coarse levels first.
-
-        Already-refined cells are skipped, cells at lmax are no-ops, and
-        nonexistent cells raise.  New vertices get d-linear values (boundary
-        data on the boundary) exactly as single-cell refinement does, but
-        each touched level pays for one interpolation pass instead of one
-        per cell.
+        marks[l] is shaped like refined[l]; a list shorter than lmax leaves
+        the finer levels alone.  Already-refined cells are skipped and a
+        marked cell that does not exist raises before anything changes.
+        Returns the masks of the newly created vertices, one per level of
+        u.  They get d-linearly interpolated values inside the domain and
+        the boundary data on its edge.
         """
-        by_level: dict[int, list[CellId]] = {}
-        for cell in cells:
-            if not self.cell_exists(cell):
-                raise ValueError(f"cell {cell} does not exist")
-            if cell.level >= self.lmax:
+        for l, mark in enumerate(marks):
+            missing = np.argwhere(mark & ~self.cells_exist(l))
+            if len(missing):
+                raise ValueError(f"cell {CellId(l, *map(int, missing[0]))} does not exist")
+        created: dict[int, np.ndarray] = {}
+        for l, mark in enumerate(marks):
+            new = mark & ~self.refined[l]
+            if not new.any():
                 continue
-            by_level.setdefault(cell.level, []).append(cell)
-        created: set[VertexId] = set()
-        for l in sorted(by_level):
             child = l + 1
             self._ensure_level_arrays(child)
             before = self.adjacent_cell_count(child)
-            touched = False
-            for cell in by_level[l]:
-                if self.refined[l][cell.i, cell.j]:
-                    continue
-                self.refined[l][cell.i, cell.j] = True
-                touched = True
-            if not touched:
-                continue
+            self.refined[l] |= new
             self.invalidate_kinds(l)
             self.invalidate_kinds(child)
-            after = self.adjacent_cell_count(child)
-            new_mask = (before == 0) & (after > 0)
-            if not new_mask.any():
-                continue
-            vals = prolong_values(self.u[l])
-            n = 3**child
-            for i, j in zip(*np.nonzero(new_mask)):
-                i, j = int(i), int(j)
-                created.add(VertexId(child, i, j))
-                if i == 0 or j == 0 or i == n or j == n:
-                    self.u[child][i, j] = boundary_value(i / n, j / n)
-                else:
-                    self.u[child][i, j] = vals[i, j]
-        return created
-
-    def _interpolate_from_parent(self, level: int, i: int, j: int) -> float:
-        ci, ri = divmod(i, 3)
-        cj, rj = divmod(j, 3)
-        wa = (1.0 - ri / 3.0, ri / 3.0)
-        wb = (1.0 - rj / 3.0, rj / 3.0)
-        coarse = self.u[level - 1]
-        val = 0.0
-        for da in (0, 1):
-            if wa[da] == 0.0:
-                continue
-            for db in (0, 1):
-                if wb[db] == 0.0:
-                    continue
-                val += wa[da] * wb[db] * coarse[ci + da, cj + db]
-        return val
+            made = (before == 0) & (self.adjacent_cell_count(child) > 0)
+            edge = made.copy()
+            edge[1:-1, 1:-1] = False
+            inner = made & ~edge
+            u = self.u[child]
+            u[inner] = prolong_values(self.u[l])[inner]
+            # boundary data: 1 on the edge y = 0, 0 on the others
+            u[edge] = 0.0
+            u[:, 0][edge[:, 0]] = 1.0
+            created[child] = made
+        return [created.get(l, np.zeros(u.shape, dtype=bool)) for l, u in enumerate(self.u)]
 
     def cell_vertices(self, cell: CellId) -> tuple[VertexId, VertexId, VertexId, VertexId]:
         return (
@@ -330,10 +296,6 @@ def build_regular(levels: int, lmin: int = 1, lmax: int | None = None,
         tree._ensure_level_arrays(l + 1)
     tree.invalidate_kinds()
     return tree
-
-
-def refine_cell(tree: Spacetree, cell: CellId) -> set[VertexId] | None:
-    return tree.refine(cell)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from treemg.operators import smoothed_restriction
 from treemg.oracle import build_hierarchy, dense_cycle, eq5_difference, exact_solve
 from treemg.pipeline import PipelineEngine, sweep_count_for_cycles
 from treemg.solvers import ReferenceEngine, SolverConfig
-from treemg.spacetree import CellId, build_regular
+from treemg.spacetree import build_regular
 
 POISSON = constant_field(1.0)
 
@@ -285,7 +285,9 @@ def test_criterion_7_engine_equivalence():
 
     def adaptive():
         t = build_regular(2, lmax=3, field=POISSON)
-        t.refine_many([CellId(2, i, 0) for i in range(9)] + [CellId(2, 4, 4)])
+        marks = [np.zeros_like(r) for r in t.refined]
+        marks[2][:, 0] = marks[2][4, 4] = True  # the bottom row and cell (4, 4)
+        t.refine_many(marks)
         return t
 
     for variant in ("additive", "adafac-pi", "adafac-jac"):

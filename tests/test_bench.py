@@ -161,6 +161,21 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--boundary-cadence", "0"],
+    ["--decile", "1.5"],
+    ["--amr", "on", "--lmin", "3", "--lmax", "4"],
+    ["--divergence", "-1"],
+])
+def test_cli_rejects_bad_amr_and_divergence(argv, capsys):
+    rc = main(argv + ["--max-cycles", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: ")
+
+
 def test_cli_unknown_key(tmp_path):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("wibble=3\n")

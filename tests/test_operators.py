@@ -20,7 +20,7 @@ from treemg.operators import (
     smoothed_restriction_table,
 )
 from treemg.oracle import build_hierarchy
-from treemg.spacetree import CellId, VertexKind, build_regular
+from treemg.spacetree import VertexKind, build_regular
 
 # Regression values of the smoothed restriction for eps = 1, omega = 1.
 # Independently derived by composing R, the 9-point operator and the inverse
@@ -283,8 +283,9 @@ def boxmg_level(nc, partial):
     """
     l = round(np.log(nc) / np.log(3))
     tree = build_regular(max(l, 1), lmax=l + 1, field=half_domain_jump(3))
-    cells = [CellId(l, i, j) for i in range(nc) for j in range(nc)]
-    tree.refine_many(cells[: len(cells) // 2] if partial else cells)
+    # all of the level's cells, or the first half in (i, j) lexicographic order
+    mark = np.arange(nc * nc).reshape(nc, nc) < (nc * nc // 2 if partial else nc * nc)
+    tree.refine_many([np.zeros_like(r) for r in tree.refined[:l]] + [mark])
     kinds = tree.vertex_kinds(l + 1)
     assert (kinds == VertexKind.HANGING).any() == partial
     raw = assemble_stencil_table(tree.eps[l + 1] * tree.cells_exist(l + 1))

@@ -182,10 +182,10 @@ def test_restriction_equals_hierarchical_residual_under_galerkin(flavor, field):
 def test_deep_convergence_on_adaptive_mesh():
     # composite-grid consistency: residual keeps contracting to near
     # round-off on a static adaptive mesh (no stalling floor)
-    from treemg.spacetree import CellId
-
     tree = build_regular(2, lmax=3, field=half_domain_jump(2))
-    tree.refine_many([CellId(2, i, 0) for i in range(9)] + [CellId(2, 4, 4)])
+    marks = [np.zeros_like(r) for r in tree.refined]
+    marks[2][:, 0] = marks[2][4, 4] = True  # the bottom row and cell (4, 4)
+    tree.refine_many(marks)
     eng = ReferenceEngine(tree, SolverConfig(variant="adafac-jac"))
     eng.update_fas_state()
     norms = [eng.advance().l2h for _ in range(220)]
@@ -193,8 +193,6 @@ def test_deep_convergence_on_adaptive_mesh():
 
 
 def test_refinement_residual_change_is_local():
-    from treemg.spacetree import CellId
-
     tree = build_regular(2, lmax=3, field=POISSON)
     eng = ReferenceEngine(tree, SolverConfig(variant="additive"))
     for _ in range(60):
@@ -202,7 +200,9 @@ def test_refinement_residual_change_is_local():
     # record the fine-level residual, refine one interior cell, re-measure
     op = eng.ops[2]
     rho_before = np.where(tree.dof_mask(2), -op.apply(tree.u[2]), 0.0)
-    tree.refine_many([CellId(2, 4, 4)])
+    marks = [np.zeros_like(r) for r in tree.refined]
+    marks[2][4, 4] = True
+    tree.refine_many(marks)
     eng.rebuild()
     eng.update_fas_state()
     op = eng.ops[2]

@@ -9,7 +9,6 @@ from treemg.spacetree import (
     VertexId,
     VertexKind,
     build_regular,
-    refine_cell,
     traverse,
 )
 
@@ -98,10 +97,10 @@ def test_refine_initializes_by_interpolation():
 def test_refine_errors_and_noop():
     tree = build_regular(2, lmax=2)
     with pytest.raises(ValueError):
-        refine_cell(tree, CellId(1, 0, 0))  # already refined
-    assert refine_cell(tree, CellId(2, 0, 0)) is None  # at lmax: no-op signal
+        tree.refine(CellId(1, 0, 0))  # already refined
+    assert tree.refine(CellId(2, 0, 0)) is None  # at lmax: no-op signal
     with pytest.raises(ValueError):
-        refine_cell(Spacetree(1, 3), CellId(1, 0, 0))  # does not exist yet
+        Spacetree(1, 3).refine(CellId(1, 0, 0))  # does not exist yet
 
 
 def test_traversal_touch_counts_regular():
