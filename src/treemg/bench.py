@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 from .amr import RefinePolicy, apply_refinement, cells_for_vertices, mark_boundary, mark_curvature
 from .discretization import EpsilonField, constant_field, half_domain_jump, needle_inclusion, skew_checkerboard
 from .pipeline import PipelineEngine
-from .solvers import PIPELINE_VARIANTS, VARIANTS, ReferenceEngine, SolverConfig
+from .solvers import PIPELINE_VARIANTS, ReferenceEngine, SolverConfig, count_updates
 from .spacetree import build_regular
 
 __all__ = [
@@ -78,20 +78,10 @@ class ExperimentConfig:
             raise ConfigError(f"setup must be one of {SETUPS}, got {self.setup!r}")
         if self.setup != "poisson" and not 1 <= self.k <= 5:
             raise ConfigError(f"k must lie in 1..5, got {self.k}")
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.flavor not in ("geometric", "boxmg"):
-            raise ConfigError(f"flavor must be geometric or boxmg, got {self.flavor!r}")
         if self.lmin < 1:
             raise ConfigError(f"lmin must be at least 1, got {self.lmin}")
         if self.lmax < self.lmin:
             raise ConfigError(f"lmax must be at least lmin, got {self.lmax}")
-        if not 0.0 < self.omega <= 1.0:
-            raise ConfigError(f"omega must lie in (0, 1], got {self.omega}")
-        if self.omega_tilde is not None and not 0.0 < self.omega_tilde <= 1.0:
-            raise ConfigError(f"omega_tilde must lie in (0, 1], got {self.omega_tilde}")
-        if not 0.0 < self.omega_hat < 1.0:
-            raise ConfigError(f"omega_hat must lie in (0, 1), got {self.omega_hat}")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.engine == "pipelined" and self.variant not in PIPELINE_VARIANTS:
@@ -105,6 +95,7 @@ class ExperimentConfig:
         if not self.divergence >= 1.0:
             raise ConfigError(f"divergence must be at least 1, got {self.divergence}")
         try:
+            self.solver_config()
             self.refine_policy()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -158,16 +149,6 @@ def make_field(setup: str, k: int = 1) -> EpsilonField:
 def regular_level_dofs(lmin: int, lmax: int) -> dict[int, int]:
     """Interior DoF counts of a fully regular mesh, no tree required."""
     return {l: (3**l - 1) ** 2 for l in range(lmin, lmax + 1)}
-
-
-def count_updates(level_dofs: dict[int, int], variant: str, lmin: int, lmax: int) -> int:
-    """DoF updates of one cycle: correction plus damping equations."""
-    total = sum(level_dofs[l] for l in range(lmin, lmax + 1))
-    if variant == "adafac-jac":
-        total += sum(level_dofs[l] for l in range(lmin, lmax))
-    elif variant == "adafac-pi":
-        total += sum(level_dofs[l] for l in range(lmin + 1, lmax + 1))
-    return total
 
 
 def normalized_residuals(l2h: float, linf: float, r0: tuple[float, float]) -> tuple[float, float]:

@@ -44,7 +44,6 @@ from .discretization import ELEMENT_MATRIX_UNIT, CORNER_OFFSETS, interior_stenci
 __all__ = [
     "Stencil",
     "geometric_prolongation",
-    "prolongation_weight",
     "prolong_values",
     "restrict_dlinear",
     "inject",
@@ -87,11 +86,6 @@ class Stencil:
         a, b = offset
         w = self.half_width
         return float(self.values[a + w, b + w])
-
-
-def prolongation_weight(a: int, b: int) -> float:
-    """d-linear weight of a coarse vertex at fine offset (a, b)."""
-    return max(0.0, 1.0 - abs(a) / 3.0) * max(0.0, 1.0 - abs(b) / 3.0)
 
 
 def geometric_prolongation() -> Stencil:
@@ -276,21 +270,17 @@ def assemble_stencil_table(eps: np.ndarray) -> np.ndarray:
 # -- operator-dependent prolongation ----------------------------------------
 
 
-def _gather_vertex(arr: np.ndarray, oi: int, oj: int, nc: int) -> np.ndarray:
-    """arr sampled at fine positions 3*v + (oi, oj) for all coarse v.
+def _windows(fine: np.ndarray) -> np.ndarray:
+    """View of the 7x7 windows of fine at stride 3: entry [v, o] is
+    fine[3v + o - 3] over the first two axes, zero outside the grid.
 
-    Out-of-range samples read as zero.
+    fine is a fine vertex field, optionally with trailing axes, which come
+    before the two window axes: (nf+1, nf+1, *rest) -> (nc+1, nc+1, *rest,
+    7, 7).
     """
-    nf = arr.shape[0] - 1
-    idx_i = 3 * np.arange(nc + 1) + oi
-    idx_j = 3 * np.arange(nc + 1) + oj
-    vi = (idx_i >= 0) & (idx_i <= nf)
-    vj = (idx_j >= 0) & (idx_j <= nf)
-    out_shape = (nc + 1, nc + 1) + arr.shape[2:]
-    out = np.zeros(out_shape, dtype=arr.dtype)
-    sub = arr[np.ix_(idx_i[vi], idx_j[vj])]
-    out[np.ix_(vi, vj)] = sub
-    return out
+    pad = np.zeros((fine.shape[0] + 6, fine.shape[1] + 6) + fine.shape[2:], dtype=fine.dtype)
+    pad[3:-3, 3:-3] = fine
+    return sliding_window_view(pad, (7, 7), axis=(0, 1))[::3, ::3]
 
 
 def _solve_gamma(a_m1, a_01, a_p1, a_m2, a_02, a_p2, active):
@@ -333,9 +323,6 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
 
     # c-points: identity.
     p[:, :, 3, 3] = 1.0
-
-    cell_i = np.arange(nc)
-    vert_j = np.arange(nc + 1)
 
     # Horizontal edges run along x between c-points (I,J) and (I+1,J); the
     # face normal is y, so the stencil is lumped over the y offsets.
@@ -424,25 +411,11 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
 
     # Hanging fine targets interpolate d-linearly instead.
     if fine_kinds is not None:
-        hang = fine_kinds == hanging_kind
-        for oi in range(-3, 4):
-            for oj in range(-3, 4):
-                w = prolongation_weight(oi, oj)
-                tgt = _gather_vertex(hang.astype(float), oi, oj, nc) > 0.5
-                if tgt.any():
-                    p[:, :, oi + 3, oj + 3] = np.where(tgt, w, p[:, :, oi + 3, oj + 3])
+        hang = _windows(fine_kinds == hanging_kind)
+        np.copyto(p, geometric_prolongation().values, where=hang)
 
     # Drop weights pointing outside the fine grid.
-    for oi in range(-3, 4):
-        for oj in range(-3, 4):
-            idx_i = 3 * np.arange(nc + 1) + oi
-            idx_j = 3 * np.arange(nc + 1) + oj
-            bad_i = (idx_i < 0) | (idx_i > nf)
-            bad_j = (idx_j < 0) | (idx_j > nf)
-            if bad_i.any():
-                p[bad_i, :, oi + 3, oj + 3] = 0.0
-            if bad_j.any():
-                p[:, bad_j, oi + 3, oj + 3] = 0.0
+    np.copyto(p, 0.0, where=~_windows(np.ones((nf + 1, nf + 1), dtype=bool)))
     return p
 
 
@@ -461,10 +434,7 @@ def _contract_windows(fine: np.ndarray, table: np.ndarray) -> np.ndarray:
     table is (nc+1, nc+1, 7, 7) or one (7, 7) stencil for all v; fine
     samples outside the grid read as zero.
     """
-    pad = np.zeros((fine.shape[0] + 6, fine.shape[1] + 6))
-    pad[3:-3, 3:-3] = fine
-    windows = sliding_window_view(pad, (7, 7))[::3, ::3]
-    return np.einsum("...ab,...ab->...", windows, table)
+    return np.einsum("...ab,...ab->...", _windows(fine), table)
 
 
 def _p_blocks(p_table: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
@@ -572,34 +542,27 @@ def smoothed_restriction_table(p_table: np.ndarray, omega: float,
     used, which is the default for the damping term.  Truncated to 7x7.
     """
     nc = p_table.shape[0] - 1
-    out = np.zeros((nc + 1, nc + 1, 7, 7))
     if fine_table is None:
         a1 = interior_stencil(1.0)
-        inv = 3.0 / 8.0
-        for ji in range(-3, 4):
-            for jj in range(-3, 4):
-                w = p_table[:, :, ji + 3, jj + 3]
-                if not np.any(w):
-                    continue
-                for si in (-1, 0, 1):
-                    for sj in (-1, 0, 1):
-                        ti, tj = ji + si, jj + sj
-                        if -3 <= ti <= 3 and -3 <= tj <= 3:
-                            out[:, :, ti + 3, tj + 3] += w * (a1[si + 1, sj + 1] * inv)
     else:
-        for ji in range(-3, 4):
-            for jj in range(-3, 4):
-                w = p_table[:, :, ji + 3, jj + 3]
-                if not np.any(w):
-                    continue
-                arow = _gather_vertex(fine_table, ji, jj, nc)
-                for si in (-1, 0, 1):
-                    for sj in (-1, 0, 1):
-                        ti, tj = ji + si, jj + sj
-                        if -3 <= ti <= 3 and -3 <= tj <= 3:
-                            dinv = _gather_vertex(fine_diag, ti, tj, nc)
-                            dinv = np.where(dinv != 0.0, 1.0 / np.where(dinv == 0, 1, dinv), 0.0)
-                            out[:, :, ti + 3, tj + 3] += w * arow[:, :, si + 1, sj + 1] * dinv
+        rows = _windows(fine_table)  # (nc+1, nc+1, 3, 3, 7, 7)
+        inv = np.where(fine_diag != 0.0, 1.0 / np.where(fine_diag == 0, 1, fine_diag), 0.0)
+        dinv = _windows(inv)
+    out = np.zeros((nc + 1, nc + 1, 7, 7))
+    for ji in range(7):
+        for jj in range(7):
+            w = p_table[:, :, ji, jj]
+            if not np.any(w):
+                continue
+            for si in range(3):
+                for sj in range(3):
+                    ti, tj = ji + si - 1, jj + sj - 1
+                    if not (0 <= ti < 7 and 0 <= tj < 7):
+                        continue
+                    if fine_table is None:
+                        out[:, :, ti, tj] += w * (a1[si, sj] * (3.0 / 8.0))
+                    else:
+                        out[:, :, ti, tj] += w * rows[:, :, si, sj, ji, jj] * dinv[:, :, ti, tj]
     out *= omega
     return out
 

@@ -192,11 +192,10 @@ class PipelineEngine(ReferenceEngine):
         total = 0.0
         ii, jj = i, j
         for lj in range(l + 1, self.ltop + 1):
+            if not self.masks[lj - 1]["injected"][ii, jj]:
+                break
             ii *= 3
             jj *= 3
-            kind = self.masks[lj]["kinds"][ii, jj]
-            if kind not in (VertexKind.INTERIOR_DOF, VertexKind.COARSE_OVERLAPPED):
-                break
             if cfg.variant == "adafac-jac":
                 if lj < self.ltop:
                     total += cfg.damping_scale * cfg.wt * \
@@ -244,10 +243,6 @@ class PipelineEngine(ReferenceEngine):
         cfg = self.cfg
         l0, ltop = tree.lmin, self.ltop
         stats = self._new_stats()
-        for l in range(l0, ltop + 1):
-            stats.level_dofs[l] = int(self.masks[l]["dof"].sum())
-            comp = self.masks[l]["composite"]
-            stats.dofs += int(comp.sum())
         snapshot = None
         if capture_iterate:
             snapshot = {l: tree.u[l].copy() for l in range(l0, ltop + 1)}
@@ -382,5 +377,4 @@ class PipelineEngine(ReferenceEngine):
         self._swept = True
         self.last_snapshot = snapshot
         self.last_counters = counters
-        stats.updates = self._count_updates()
         return self.finalize_stats(stats)

@@ -40,7 +40,7 @@ regression tests can compare iterates bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +64,7 @@ __all__ = [
     "SolverConfig",
     "CycleStats",
     "ReferenceEngine",
+    "count_updates",
     "jacobi_step",
 ]
 
@@ -91,13 +92,15 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown solver variant {self.variant!r}")
+            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.flavor not in ("geometric", "boxmg"):
-            raise ValueError(f"unknown operator flavor {self.flavor!r}")
+            raise ValueError(f"flavor must be geometric or boxmg, got {self.flavor!r}")
         if not 0.0 < self.omega <= 1.0:
-            raise ValueError("omega must lie in (0, 1]")
+            raise ValueError(f"omega must lie in (0, 1], got {self.omega}")
+        if self.omega_tilde is not None and not 0.0 < self.omega_tilde <= 1.0:
+            raise ValueError(f"omega_tilde must lie in (0, 1], got {self.omega_tilde}")
         if not 0.0 < self.omega_hat < 1.0:
-            raise ValueError("omega_hat must lie in (0, 1)")
+            raise ValueError(f"omega_hat must lie in (0, 1), got {self.omega_hat}")
 
     @property
     def wt(self) -> float:
@@ -112,7 +115,16 @@ class CycleStats:
     linf: float
     dofs: int
     updates: int
-    level_dofs: dict = dc_field(default_factory=dict)
+
+
+def count_updates(level_dofs: dict[int, int], variant: str, lmin: int, lmax: int) -> int:
+    """DoF updates of one cycle: correction plus damping equations."""
+    total = sum(level_dofs[l] for l in range(lmin, lmax + 1))
+    if variant == "adafac-jac":
+        total += sum(level_dofs[l] for l in range(lmin, lmax))
+    elif variant == "adafac-pi":
+        total += sum(level_dofs[l] for l in range(lmin + 1, lmax + 1))
+    return total
 
 
 def jacobi_step(op, u: np.ndarray, b: np.ndarray, omega: float,
@@ -152,6 +164,7 @@ class ReferenceEngine:
         self.transfers: dict[int, TransferOps] = {}
         self.masks: dict[int, dict[str, np.ndarray]] = {}
         self.hweight: dict[int, np.ndarray] = {}
+        self.comp_h: dict[int, np.ndarray] = {}
         want_rt = self.cfg.variant == "adafac-jac"
 
         # Effective material samples: leaf cells keep their midpoint sample
@@ -190,12 +203,9 @@ class ReferenceEngine:
                 "overlapped": kinds == VertexKind.COARSE_OVERLAPPED,
                 "rho_src": dof | hanging,
             }
-            if l < tree.lmax and tree.refined[l].any():
-                self.refined_ops[l] = ElementOperator(self.eff_eps[l] * tree.refined[l])
-            else:
-                self.refined_ops[l] = None
             n = 3**l
             if l < tree.lmax and tree.refined[l].any():
+                self.refined_ops[l] = ElementOperator(self.eff_eps[l] * tree.refined[l])
                 refined_around = np.zeros((n + 2, n + 2), dtype=bool)
                 refined_around[1:-1, 1:-1] = tree.refined[l]
                 any_refined = (
@@ -204,8 +214,21 @@ class ReferenceEngine:
                 )
                 self.hweight[l] = np.where(any_refined, 3.0 ** -(l + 1), 3.0**-l)
             else:
+                self.refined_ops[l] = None
                 # no refined cells: the local mesh width is uniform
                 self.hweight[l] = np.full((1, 1), 3.0**-l)
+            # h-weights of the composite vertices in boolean-index order,
+            # or the one weight of a uniform level
+            hw = self.hweight[l]
+            self.comp_h[l] = hw[self.masks[l]["composite"]] if hw.size > 1 else hw.reshape(1)
+        for l in range(tree.lmin, self.ltop):
+            # coarse vertices whose finer copy carries an equation: the FAS
+            # injection targets
+            self.masks[l]["injected"] = self.masks[l + 1]["dof"][::3, ::3].copy()
+        level_dofs = {l: int(np.count_nonzero(m["dof"])) for l, m in self.masks.items()}
+        self.composite_dofs = sum(
+            int(np.count_nonzero(m["composite"])) for m in self.masks.values())
+        self.updates = count_updates(level_dofs, self.cfg.variant, tree.lmin, self.ltop)
 
         if self.cfg.flavor == "geometric":
             for l in range(tree.lmin, self.ltop + 1):
@@ -281,10 +304,7 @@ class ReferenceEngine:
         """Injection bottom-up, then hanging interpolation top-down."""
         tree = self.tree
         for l in range(self.ltop - 1, tree.lmin - 1, -1):
-            fine_kinds = self.masks[l + 1]["kinds"]
-            take = (fine_kinds[::3, ::3] == VertexKind.INTERIOR_DOF) | (
-                fine_kinds[::3, ::3] == VertexKind.COARSE_OVERLAPPED
-            )
+            take = self.masks[l]["injected"]
             tree.u[l][take] = tree.u[l + 1][::3, ::3][take]
         for l in range(tree.lmin, self.ltop + 1):
             self._refresh_hanging(l)
@@ -294,13 +314,6 @@ class ReferenceEngine:
         if hang.any():
             vals = prolong_values(self.tree.u[l - 1])
             self.tree.u[l][hang] = vals[hang]
-
-    def hierarchical_surplus(self, l: int) -> np.ndarray:
-        """u_hat = u - P I u; zero at hanging vertices by construction."""
-        tree = self.tree
-        uh = tree.u[l] - self.transfers[l - 1].prolong(tree.u[l - 1])
-        uh[self.masks[l]["hanging"]] = 0.0
-        return uh
 
     def _rhs(self, l: int) -> np.ndarray:
         r = self.rhs.get(l)
@@ -331,6 +344,33 @@ class ReferenceEngine:
             ar = np.where(over, au, ar)
         return ar
 
+    def _residual_chain(self, stats: CycleStats):
+        """Walk the restricted residual chain of the current iterate, top down.
+
+        Forms each level's right-hand side b (the restricted finer residual
+        plus the refined-part term), adds the level's residual to stats,
+        restricts it into the next coarser b and yields (l, rho_dof), the
+        residual at equation-carrying vertices.  Residuals at hanging
+        vertices restrict onwards but are not part of rho_dof.
+        """
+        tree = self.tree
+        l0, l1 = tree.lmin, self.ltop
+        b = self._rhs(l1)
+        for l in range(l1, l0 - 1, -1):
+            masks = self.masks[l]
+            au = self.ops[l].apply(tree.u[l])
+            if l < l1:
+                b = b + self._bpart(l, au)
+            rho = np.where(masks["rho_src"], b - au, 0.0)
+            rho_dof = np.where(masks["dof"], rho, 0.0)
+            self._accumulate_stats(stats, l, rho_dof)
+            if l > l0:
+                if self.cfg.variant == "afacc":
+                    rho[::3, ::3] = 0.0  # vertices coinciding with the coarser level
+                b = self.transfers[l - 1].restrict(rho)
+                b += self._rhs(l - 1)
+            yield l, rho_dof
+
     def advance(self) -> CycleStats:
         if self.cfg.variant == "multiplicative-v10":
             return self._advance_mult_v10()
@@ -338,21 +378,13 @@ class ReferenceEngine:
         cfg = self.cfg
         l0, l1 = tree.lmin, self.ltop
 
-        b = {l1: self._rhs(l1)}
         d: dict[int, np.ndarray] = {}
         dtil: dict[int, np.ndarray] = {}
         stats = self._new_stats()
-        for l in range(l1, l0 - 1, -1):
-            op = self.ops[l]
+        rho_fine = None
+        for l, rho_dof in self._residual_chain(stats):
             dof = self.masks[l]["dof"]
-            src = self.masks[l]["rho_src"]
-            diag = np.where(dof, op.diag(), 1.0)
-            au = op.apply(tree.u[l])
-            if l < l1:
-                b[l] = b[l] + self._bpart(l, au)
-            rho = np.where(src, b[l] - au, 0.0)
-            rho_dof = np.where(dof, rho, 0.0)
-            self._accumulate_stats(stats, l, rho_dof)
+            diag = np.where(dof, self.ops[l].diag(), 1.0)
             if cfg.variant == "bpx" and l < l1:
                 d[l] = cfg.omega * rho_dof
             else:
@@ -361,14 +393,6 @@ class ReferenceEngine:
                 dtil[l] = cfg.damping_scale * (cfg.wt * self.transfers[l].restrict_smoothed(
                     rho_fine) / diag)
                 dtil[l][~dof] = 0.0
-            if l > l0:
-                if cfg.variant == "afacc":
-                    masked = rho.copy()
-                    masked[::3, ::3] = 0.0
-                    b[l - 1] = self.transfers[l - 1].restrict(masked)
-                else:
-                    b[l - 1] = self.transfers[l - 1].restrict(rho)
-                b[l - 1] += self._rhs(l - 1)
             # the damping anticipates the smoother's update M^-1 rho, which
             # exists at smoothed vertices only: hanging residuals restrict
             # into the correction right-hand side but never into b~
@@ -377,25 +401,19 @@ class ReferenceEngine:
         if cfg.variant == "adafac-pi":
             for l in range(l0 + 1, l1 + 1):
                 inj = np.zeros_like(tree.u[l - 1])
-                fk = self.masks[l]["kinds"][::3, ::3]
-                take = (fk == VertexKind.INTERIOR_DOF) | (fk == VertexKind.COARSE_OVERLAPPED)
+                take = self.masks[l - 1]["injected"]
                 inj[take] = d[l][::3, ::3][take]
                 dtil[l] = cfg.damping_scale * self.transfers[l - 1].prolong(inj)
                 dtil[l][~self.masks[l]["dof"]] = 0.0
 
         carry = None
         for l in range(l0, l1 + 1):
-            g = d[l]
-            if cfg.variant == "adafac-jac" and l in dtil:
-                g = g - dtil[l]
-            elif cfg.variant == "adafac-pi" and l in dtil:
-                g = g - dtil[l]
+            g = d[l] - dtil[l] if l in dtil else d[l]
             carry = g if carry is None else self.transfers[l - 1].prolong(carry) + g
             carry[~self.masks[l]["exists"]] = 0.0
             tree.u[l] += carry
 
         self.update_fas_state()
-        stats.updates = self._count_updates()
         return self.finalize_stats(stats)
 
     def _advance_mult_v10(self) -> CycleStats:
@@ -424,59 +442,26 @@ class ReferenceEngine:
         tree.u[l0] += c
         tree.u[l1] += self.transfers[l0].prolong(c)
         self.update_fas_state()
-        stats.updates = self._count_updates()
         return self.finalize_stats(stats)
 
     # -- reporting -----------------------------------------------------------
 
     def _new_stats(self) -> CycleStats:
-        return CycleStats(0.0, 0.0, 0, 0, {})
+        return CycleStats(0.0, 0.0, self.composite_dofs, self.updates)
 
     def _accumulate_stats(self, stats: CycleStats, l: int, rho: np.ndarray) -> None:
-        comp = self.masks[l]["composite"]
-        if comp.any():
-            r = rho[comp]
-            h = np.broadcast_to(self.hweight[l], rho.shape)[comp]
-            stats.l2h += float(((h * r) ** 2).sum())
+        r = rho[self.masks[l]["composite"]]
+        if r.size:
+            stats.l2h += float(((self.comp_h[l] * r) ** 2).sum())
             stats.linf = max(stats.linf, float(np.abs(r).max()))
-            stats.dofs += int(comp.sum())
-        stats.level_dofs[l] = int(self.masks[l]["dof"].sum())
 
     def finalize_stats(self, stats: CycleStats) -> CycleStats:
         stats.l2h = float(np.sqrt(stats.l2h))
         return stats
 
-    def _count_updates(self) -> int:
-        cfg = self.cfg
-        l0, l1 = self.tree.lmin, self.ltop
-        total = sum(int(self.masks[l]["dof"].sum()) for l in range(l0, l1 + 1))
-        if cfg.variant == "adafac-jac":
-            total += sum(int(self.masks[l]["dof"].sum()) for l in range(l0, l1))
-        elif cfg.variant == "adafac-pi":
-            total += sum(int(self.masks[l]["dof"].sum()) for l in range(l0 + 1, l1 + 1))
-        elif cfg.variant == "multiplicative-v10":
-            pass  # fine smoother plus one coarse solve, both already counted
-        return total
-
     def residual_stats(self) -> CycleStats:
         """Residual of the current iterate without advancing it."""
-        tree = self.tree
-        l0, l1 = tree.lmin, self.ltop
-        b = {l1: self._rhs(l1)}
         stats = self._new_stats()
-        for l in range(l1, l0 - 1, -1):
-            op = self.ops[l]
-            src = self.masks[l]["rho_src"]
-            au = op.apply(tree.u[l])
-            if l < l1:
-                b[l] = b[l] + self._bpart(l, au)
-            rho = np.where(src, b[l] - au, 0.0)
-            self._accumulate_stats(stats, l, np.where(self.masks[l]["dof"], rho, 0.0))
-            if l > l0:
-                if self.cfg.variant == "afacc":
-                    masked = rho.copy()
-                    masked[::3, ::3] = 0.0
-                    b[l - 1] = self.transfers[l - 1].restrict(masked) + self._rhs(l - 1)
-                else:
-                    b[l - 1] = self.transfers[l - 1].restrict(rho) + self._rhs(l - 1)
+        for _ in self._residual_chain(stats):
+            pass
         return self.finalize_stats(stats)

@@ -66,10 +66,6 @@ class VertexId:
         n = 3**self.level
         return (self.i / n, self.j / n)
 
-    def is_c_point(self) -> bool:
-        """True when the vertex spatially coincides with one on the parent level."""
-        return self.i % 3 == 0 and self.j % 3 == 0
-
 
 class VertexKind:
     NONE = 0  # no adjacent cell on this level
@@ -205,15 +201,6 @@ class Spacetree:
     def composite_mask(self, level: int) -> np.ndarray:
         """Vertices owning the solution at this level (not overlapped by finer DoFs)."""
         return self.vertex_kinds(level) == VertexKind.INTERIOR_DOF
-
-    def vertex_kind(self, v: VertexId) -> int:
-        return int(self.vertex_kinds(v.level)[v.i, v.j])
-
-    def interior_dof_count(self, level: int) -> int:
-        return int((self.vertex_kinds(level) == VertexKind.INTERIOR_DOF).sum())
-
-    def boundary_count(self, level: int) -> int:
-        return int((self.vertex_kinds(level) == VertexKind.DIRICHLET).sum())
 
     # -- refinement --------------------------------------------------------
 

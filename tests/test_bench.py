@@ -1,6 +1,8 @@
+import importlib.util
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,3 +200,17 @@ def test_make_field_dispatch():
     assert make_field("needle", 2).k == 2
     with pytest.raises(ConfigError):
         make_field("moebius")
+
+
+def test_perfbench_trace_spans_resolve():
+    # perfbench/run.py --trace 1 wraps these places by name; a rename in src/
+    # must fail here rather than leave a span without calls
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    places = [place for places, _ in tracing.SPANS.values() for place in places]
+    assert places
+    for place in places:
+        owner, name = tracing._owner(place)
+        assert callable(getattr(owner, name, None)), place

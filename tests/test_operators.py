@@ -13,7 +13,6 @@ from treemg.operators import (
     geometric_prolongation,
     inject,
     prolong_values,
-    prolongation_weight,
     restrict_dlinear,
     ritz_galerkin_coarse,
     smoothed_restriction,
@@ -52,9 +51,11 @@ def test_geometric_prolongation_weights():
     assert p[2, 2] == pytest.approx(1.0 / 9.0)
     assert p[3, 0] == 0.0
     assert p[3, 3] == 0.0
+    # d-linear: the product of the 1D hat functions of width 3
     for a in range(-3, 4):
         for b in range(-3, 4):
-            assert p[a, b] == pytest.approx(prolongation_weight(a, b))
+            want = max(0.0, 1.0 - abs(a) / 3.0) * max(0.0, 1.0 - abs(b) / 3.0)
+            assert p[a, b] == pytest.approx(want)
 
 
 def test_prolongation_exact_on_bilinear_functions():
@@ -276,7 +277,8 @@ def test_transfer_ops_geometric_and_table_paths_agree():
 
 
 def boxmg_level(nc, partial):
-    """BoxMG P from a half-jump tree, its raw fine table and dof mask.
+    """BoxMG P from a half-jump tree, its raw fine table, dof mask and
+    fine vertex kinds.
 
     With partial set only some coarse cells are refined, so the fine level
     has hanging vertices whose P weights are the d-linear ones.
@@ -291,7 +293,7 @@ def boxmg_level(nc, partial):
     raw = assemble_stencil_table(tree.eps[l + 1] * tree.cells_exist(l + 1))
     refined = tree.refined[l] & tree.cells_exist(l)
     p = boxmg_prolongation(raw, refined, kinds, VertexKind.HANGING)
-    return p, raw, tree.dof_mask(l + 1)
+    return p, raw, tree.dof_mask(l + 1), kinds
 
 
 def contract_by_definition(table, fine):
@@ -311,9 +313,17 @@ def contract_by_definition(table, fine):
 
 @pytest.mark.parametrize("nc, partial", [(1, False), (3, False), (9, False), (3, True), (9, True)])
 def test_table_prolong_of_unit_vectors_reproduces_weights(nc, partial):
-    p, _, _ = boxmg_level(nc, partial)
+    p, _, _, kinds = boxmg_level(nc, partial)
     # weights towards fine vertices outside the grid are dropped up front
     assert np.abs(p[~in_range_mask(nc)]).max() == 0.0
+    # weights towards hanging fine vertices are the d-linear ones
+    geo = geometric_prolongation().values
+    hanging = 0
+    for vi, vj, a, b in np.argwhere(in_range_mask(nc)):
+        if kinds[3 * vi + a - 3, 3 * vj + b - 3] == VertexKind.HANGING:
+            assert p[vi, vj, a, b] == geo[a, b]
+            hanging += 1
+    assert (hanging > 0) == partial
     ops = TransferOps(nc, p, None)
     padded = np.zeros((3 * nc + 7, 3 * nc + 7))
     for vi in range(nc + 1):
@@ -341,7 +351,7 @@ def test_table_restrict_is_prolong_transpose(partial):
 def test_table_restrict_smoothed_reads_the_table():
     rng = np.random.default_rng(29)
     nc = 9
-    p, raw, dof = boxmg_level(nc, partial=True)
+    p, raw, dof, _ = boxmg_level(nc, partial=True)
     masked = raw * dof[:, :, None, None]
     diag = TableOperator(raw).diag()
     f = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
@@ -356,6 +366,53 @@ def test_table_restrict_smoothed_reads_the_table():
     got = TransferOps(nc, p, const).restrict_smoothed(f)
     want = contract_by_definition(np.broadcast_to(const, (nc + 1, nc + 1, 7, 7)), f)
     assert np.allclose(got, want, atol=1e-13)
+
+
+def smoothed_table_by_definition(p, omega, fine_table=None, fine_diag=None):
+    """R~[v, j + s] = omega * sum_j p[v, j] A[3v + j, s] / diag(A)[3v + j + s],
+    one vertex at a time, sources j in lexicographic order, truncated to
+    the 7x7 offsets; the unit-coefficient operator when fine_table is None."""
+    nc = p.shape[0] - 1
+    nf = 3 * nc
+    a1 = interior_stencil(1.0)
+    out = np.zeros((nc + 1, nc + 1, 7, 7))
+    for vi in range(nc + 1):
+        for vj in range(nc + 1):
+            for ji in range(-3, 4):
+                for jj in range(-3, 4):
+                    fi, fj = 3 * vi + ji, 3 * vj + jj
+                    if fine_table is not None and not (0 <= fi <= nf and 0 <= fj <= nf):
+                        continue
+                    for si in range(3):
+                        for sj in range(3):
+                            ti, tj = ji + si - 1, jj + sj - 1
+                            if not (-3 <= ti <= 3 and -3 <= tj <= 3):
+                                continue
+                            w = p[vi, vj, ji + 3, jj + 3]
+                            if fine_table is None:
+                                out[vi, vj, ti + 3, tj + 3] += w * (a1[si, sj] * (3.0 / 8.0))
+                                continue
+                            gi, gj = fi + si - 1, fj + sj - 1
+                            inside = 0 <= gi <= nf and 0 <= gj <= nf
+                            d = fine_diag[gi, gj] if inside else 0.0
+                            dinv = 1.0 / d if d != 0.0 else 0.0
+                            out[vi, vj, ti + 3, tj + 3] += w * fine_table[fi, fj, si, sj] * dinv
+    return out * omega
+
+
+@pytest.mark.parametrize("flavor", ["geometric", "boxmg"])
+def test_smoothed_restriction_table_matches_per_vertex_composition(flavor):
+    nc = 9
+    p, raw, dof, _ = boxmg_level(nc, partial=True)
+    if flavor == "geometric":
+        p = geometric_p_table(nc)
+    masked = raw * dof[:, :, None, None]
+    diag = TableOperator(raw).diag()
+    assert np.array_equal(smoothed_restriction_table(p, 0.6),
+                          smoothed_table_by_definition(p, 0.6))
+    assert np.array_equal(
+        smoothed_restriction_table(p, 0.6, fine_table=masked, fine_diag=diag),
+        smoothed_table_by_definition(p, 0.6, fine_table=masked, fine_diag=diag))
 
 
 def test_probed_ritz_galerkin_matches_dense_oracle():

@@ -3,7 +3,15 @@ import pytest
 
 from treemg.discretization import constant_field, half_domain_jump
 from treemg.oracle import build_hierarchy, dense_cycle, exact_solve
-from treemg.solvers import ReferenceEngine, SolverConfig, jacobi_step
+from treemg.pipeline import PipelineEngine
+from treemg.solvers import (
+    PIPELINE_VARIANTS,
+    VARIANTS,
+    ReferenceEngine,
+    SolverConfig,
+    count_updates,
+    jacobi_step,
+)
 from treemg.spacetree import build_regular
 
 POISSON = constant_field(1.0)
@@ -109,7 +117,7 @@ def test_update_fas_state_bilinear_surplus_vanishes():
         x = np.linspace(0, 1, n + 1)[:, None]
         y = np.linspace(0, 1, n + 1)[None, :]
         tree.u[l][:, :] = 0.25 + x - 2 * y + 0.5 * x * y
-    uh = eng.hierarchical_surplus(2)
+    uh = tree.u[2] - eng.transfers[1].prolong(tree.u[1])
     assert np.abs(uh).max() < 1e-13
 
 
@@ -123,7 +131,7 @@ def test_hierarchical_residual_matches_dense():
     inj = h.injection(1)
     uhat = u - p @ (inj @ u)
     want = (-h.fine().a @ uhat)
-    uh = eng.hierarchical_surplus(2)
+    uh = tree.u[2] - eng.transfers[1].prolong(tree.u[1])
     got = np.where(tree.dof_mask(2), -eng.ops[2].apply(uh), 0.0)
     assert np.abs(got.reshape(-1) - want).max() < 1e-12
 
@@ -172,7 +180,7 @@ def test_restriction_equals_hierarchical_residual_under_galerkin(flavor, field):
     dof_f = tree.dof_mask(2)
     rho_f = np.where(dof_f, -op_f.apply(tree.u[2]), 0.0)
     correction_consistent = eng.transfers[1].restrict(rho_f) + eng._bpart(1, op_c.apply(tree.u[1]))
-    uh = eng.hierarchical_surplus(2)
+    uh = tree.u[2] - eng.transfers[1].prolong(tree.u[1])
     rhat = np.where(dof_f, -op_f.apply(uh), 0.0)
     hierarchical = eng.transfers[1].restrict(rhat)
     dof_c = tree.dof_mask(1)
@@ -246,16 +254,35 @@ def test_flavor_equality_on_poisson():
     assert np.abs(results["geometric"] - results["boxmg"]).max() < 1e-12
 
 
-def test_stats_residual_normalization_inputs():
-    tree, eng = make_engine(2, variant="additive")
-    s0 = eng.residual_stats()
-    s1 = eng.advance()
-    # advance reports the residual of the state it started from
-    assert s1.l2h == pytest.approx(s0.l2h, rel=1e-13)
-    assert s1.linf == pytest.approx(s0.linf, rel=1e-13)
-    assert s1.dofs == 64
-    # one fine + one coarse correction equation per cycle
-    assert s1.updates == 64 + 4
+ADDITIVE_VARIANTS = [v for v in VARIANTS if v != "multiplicative-v10"]
+
+
+@pytest.mark.parametrize("state,variant,flavor", [("two-level", "additive", "geometric")] + [
+    ("graded", v, f) for v in ADDITIVE_VARIANTS for f in ("geometric", "boxmg")])
+def test_stats_residual_normalization_inputs(state, variant, flavor, graded):
+    if state == "two-level":
+        _, eng = make_engine(2, variant=variant, flavor=flavor)
+    else:
+        eng = ReferenceEngine(graded, SolverConfig(variant=variant, flavor=flavor))
+    for _ in range(3):
+        s0 = eng.residual_stats()
+        # advance reports the residual of the state it started from
+        assert eng.advance() == s0
+    if state == "two-level":
+        assert s0.dofs == 64
+        # one fine + one coarse correction equation per cycle
+        assert s0.updates == 64 + 4
+
+
+def test_updates_match_count_updates_on_graded_mesh(graded):
+    lmin, depth = graded.lmin, graded.depth
+    level_dofs = {l: int(graded.dof_mask(l).sum()) for l in range(lmin, depth + 1)}
+    for variant in ADDITIVE_VARIANTS:
+        eng = ReferenceEngine(graded, SolverConfig(variant=variant))
+        assert eng.advance().updates == count_updates(level_dofs, variant, lmin, depth), variant
+    for variant in PIPELINE_VARIANTS:
+        eng = PipelineEngine(graded, SolverConfig(variant=variant))
+        assert eng.advance().updates == count_updates(level_dofs, variant, lmin, depth), variant
 
 
 def test_update_counts_per_variant():

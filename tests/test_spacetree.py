@@ -13,11 +13,15 @@ from treemg.spacetree import (
 )
 
 
+def interior_dofs(tree, level):
+    return int((tree.vertex_kinds(level) == VertexKind.INTERIOR_DOF).sum())
+
+
 def test_regular_dof_counts():
-    assert build_regular(1).interior_dof_count(1) == 4
-    assert build_regular(2).interior_dof_count(2) == 64
+    assert interior_dofs(build_regular(1), 1) == 4
+    assert interior_dofs(build_regular(2), 2) == 64
     tree = build_regular(3)
-    assert tree.interior_dof_count(3) == (3**3 - 1) ** 2
+    assert interior_dofs(tree, 3) == (3**3 - 1) ** 2
     # coarser levels of a regular tree are fully overlapped
     kinds = tree.vertex_kinds(2)
     assert (kinds[1:-1, 1:-1] == VertexKind.COARSE_OVERLAPPED).all()
@@ -36,8 +40,10 @@ def test_build_regular_rejects_zero_levels():
 def test_parent_relation_and_c_points():
     c = CellId(2, 7, 4)
     assert c.parent() == CellId(1, 2, 1)
-    assert VertexId(2, 6, 4).is_c_point() is False
-    assert VertexId(2, 6, 9).is_c_point() is True
+    # (6, 9) coincides with a parent-level vertex, (6, 4) with none
+    parents = {VertexId(1, a, b).position() for a in range(4) for b in range(4)}
+    assert VertexId(2, 6, 4).position() not in parents
+    assert VertexId(2, 6, 9).position() == VertexId(1, 2, 3).position()
 
 
 def test_c_point_coincidence_matches_positions():
@@ -45,7 +51,7 @@ def test_c_point_coincidence_matches_positions():
         n = 3**level
         for i, j in ((0, 0), (3, 9 % (n + 1)), (n, n), (min(6, n), min(3, n))):
             v = VertexId(level, i, j)
-            if v.is_c_point():
+            if i % 3 == 0 and j % 3 == 0:
                 parent = VertexId(level - 1, i // 3, j // 3)
                 px, py = parent.position()
                 vx, vy = v.position()
@@ -130,7 +136,8 @@ def test_traversal_closure_on_adaptive_tree():
     counters = traverse(tree, count_touches=True)
     lvl2 = [v for v in counters.loads if v.level == 2]
     assert len(lvl2) == 16  # only the 4x4 patch inside the refined cell
-    interior = [v for v in lvl2 if tree.vertex_kind(v) == VertexKind.INTERIOR_DOF]
+    kinds2 = tree.vertex_kinds(2)
+    interior = [v for v in lvl2 if kinds2[v.i, v.j] == VertexKind.INTERIOR_DOF]
     # patch corners that are c-points plus the 4 interior vertices; corners on
     # the domain boundary stay Dirichlet
     assert len(interior) >= 4
