@@ -36,6 +36,14 @@ requirement is iterate equality with the level-by-level reference engine:
   directly off the finer levels' still-unconsumed accumulators during the
   descent, which equals the eagerly propagated injection chain.
 
+The traversal is compiled once per mesh, at the first sweep after
+rebuild(): ``traverse`` yields the event stream, and numpy turns it into
+flat rows per vertex id (kind, diagonal, h-weight, d-linear parent terms,
+prolongation/scatter and R~ rows, damping chain, c-point parent) and per
+cell (corners, element split, material).  A sweep is one loop over the
+stream on Python lists, with every arithmetic expression in the order of
+the definitions above.
+
 The engine supports the plain additive solver and both damped variants.
 Strictly one execution context per tree; helper bookkeeping is
 order-dependent within a sweep, but the produced iterates are not: any
@@ -44,14 +52,35 @@ depth-first child order yields the same cycle.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from .discretization import ELEMENT_MATRIX_UNIT
+from .discretization import CORNER_OFFSETS, ELEMENT_MATRIX_UNIT
 from .operators import geometric_prolongation
 from .solvers import PIPELINE_VARIANTS, ReferenceEngine, SolverConfig
-from .spacetree import PEANO_CHILD_ORDER, Spacetree, VertexKind, traverse
+from .spacetree import (
+    ENTER_CELL,
+    FIRST_TOUCH,
+    PEANO_CHILD_ORDER,
+    Spacetree,
+    TraversalCounters,
+    TraversalPlan,
+    VertexKind,
+    traverse,
+    vertex_offsets,
+)
 
 __all__ = ["PipelineEngine", "sweep_count_for_cycles"]
+
+HELPERS = ("sl", "stl", "sc", "sf", "b", "bt_r", "bt_w", "acc_au", "acc_ar",
+           "tco_r", "tco_w")
+
+# event codes of a compiled sweep: enter a cell; first touch of a hanging,
+# Dirichlet, undamped or damped equation vertex; last touch of a vertex
+# without equation, a hanging, a composite or a coarse-overlapped vertex
+(ENTER, FIRST_HANGING, FIRST_DIRICHLET, FIRST_DOF, FIRST_DAMPED,
+ LAST_NONE, LAST_HANGING, LAST_COMPOSITE, LAST_OVERLAPPED) = range(9)
 
 
 def sweep_count_for_cycles(n: int) -> int:
@@ -61,6 +90,15 @@ def sweep_count_for_cycles(n: int) -> int:
     return n + 1
 
 
+def _ragged(keep: np.ndarray, *cols: np.ndarray) -> list[list]:
+    """Per row of keep, the kept entries of cols in column order: tuples
+    for several columns, plain values for one."""
+    picked = [c[keep].tolist() for c in cols]
+    items = picked[0] if len(cols) == 1 else list(zip(*picked))
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    return [items[a:b] for a, b in zip([0] + ends[:-1], ends)]
+
+
 class PipelineEngine(ReferenceEngine):
     """Single-touch engine; iterates equal the reference engine's.
 
@@ -68,7 +106,8 @@ class PipelineEngine(ReferenceEngine):
     iterate that sweep's restrictions were computed from, exactly matching
     the reference engine's advance().  A cycle's iterate becomes readable
     only after the next sweep's descent; capture_iterate=True snapshots it
-    then (available as last_snapshot).
+    then (available as last_snapshot).  helpers[l][name] and tree.u hold
+    the state after each sweep.
     """
 
     def __init__(self, tree: Spacetree, cfg: SolverConfig,
@@ -85,146 +124,153 @@ class PipelineEngine(ReferenceEngine):
     # -- construction --------------------------------------------------------
 
     def rebuild(self) -> None:
+        """Rebuild the operators; helpers of existing levels keep their
+        values, and the traversal is compiled again at the next sweep."""
         super().rebuild()
-        self._ensure_helpers()
+        old = getattr(self, "_store", np.zeros((len(HELPERS), 0)))
+        # one row per helper over the flat vertex ids of levels 0..ltop
+        self._store = np.zeros((len(HELPERS), vertex_offsets(self.ltop)[-1]))
+        n = min(old.shape[1], self._store.shape[1])
+        self._store[:, :n] = old[:, :n]
+        self._plan = None
 
-    def _ensure_helpers(self) -> None:
-        tree = self.tree
-        old = getattr(self, "helpers", {})
-        self.helpers = {}
-        names = ("sl", "stl", "sc", "sf", "b", "bt_r", "bt_w", "acc_au",
-                 "acc_ar", "tco_r", "tco_w")
-        for l in range(tree.lmin, self.ltop + 1):
-            if l in old and old[l]["sl"].shape == tree.u[l].shape:
-                self.helpers[l] = old[l]
-            else:
-                shape = tree.u[l].shape
-                self.helpers[l] = {n: np.zeros(shape) for n in names}
-        self.diag = {l: np.where(self.masks[l]["dof"], self.ops[l].diag(), 1.0)
-                     for l in range(tree.lmin, self.ltop + 1)}
-        # per-cell element splits of the stored stencils, for the mat-vec
-        # accumulation (a cell's share of each vertex-pair coupling)
-        self._splits = {}
-        for l in range(tree.lmin, self.ltop + 1):
-            if hasattr(self.ops[l], "eps"):
-                self._splits[l] = None  # element operator: use eps directly
-            else:
-                self._splits[l] = self._split_table(l)
-        self._geo_weights = geometric_prolongation().values
-
-    def _split_table(self, l: int) -> np.ndarray:
-        """Stencil entries divided by the number of cells sharing each
-        coupling, so that summing the per-cell parts reproduces the rows."""
-        tbl = self.ops[l].table()
-        n = 3**l
-        cells = np.zeros((n + 2, n + 2), dtype=np.int8)
-        cells[1:-1, 1:-1] = self.tree.cells_exist(l)
-        shares = np.zeros(tbl.shape)
-        for a in range(3):
-            for b in range(3):
-                shares[:, :, a, b] = np.maximum(
-                    self._shared_cell_count(cells, n, a - 1, b - 1), 1)
-        return tbl / shares
-
-    @staticmethod
-    def _shared_cell_count(cells_padded: np.ndarray, n: int, da: int, db: int) -> np.ndarray:
-        """Number of existing cells whose corner set contains both v and
-        v + (da, db), per vertex v."""
-        count = np.zeros((n + 1, n + 1), dtype=np.int8)
-        for ci in (-1, 0):
-            for cj in (-1, 0):
-                # cell at (v_i + ci, v_j + cj) always contains v; it also
-                # contains v + d iff d - (ci, cj) lies in {0, 1}^2
-                if da - ci in (0, 1) and db - cj in (0, 1):
-                    count += cells_padded[1 + ci : n + 2 + ci, 1 + cj : n + 2 + cj]
-        return count
+    @property
+    def helpers(self) -> dict[int, dict[str, np.ndarray]]:
+        """helpers[l][name]: a writable view of one helper on level l."""
+        off = vertex_offsets(self.ltop)
+        return {l: {name: row[off[l]:off[l + 1]].reshape(self.tree.u[l].shape)
+                    for name, row in zip(HELPERS, self._store)}
+                for l in range(self.tree.lmin, self.ltop + 1)}
 
     def reset_helpers(self) -> None:
-        for fields in self.helpers.values():
-            for arr in fields.values():
-                arr.fill(0.0)
+        self._store.fill(0.0)
         self._swept = False
 
-    # -- local transfer evaluations ------------------------------------------
+    # -- compilation -----------------------------------------------------------
 
-    def _p_weight(self, lc: int, wi: int, wj: int, oi: int, oj: int) -> float:
-        tr = self.transfers[lc]
-        if tr.p_table is None:
-            return float(self._geo_weights[oi + 3, oj + 3])
-        return float(tr.p_table[wi, wj, oi + 3, oj + 3])
+    def _compile(self) -> SimpleNamespace:
+        """Event stream and flat per-vertex and per-cell rows of this mesh."""
+        tree, cfg = self.tree, self.cfg
+        l0, ltop = tree.lmin, self.ltop
+        plan = traverse(tree, self.child_order)
+        off = plan.offsets
 
-    def _prolong_at(self, lc: int, arr: np.ndarray, i: int, j: int) -> float:
-        nc = 3**lc
-        total = 0.0
-        for wi in range(max(0, (i - 1) // 3), min(nc, (i + 3) // 3) + 1):
-            oi = i - 3 * wi
-            for wj in range(max(0, (j - 1) // 3), min(nc, (j + 3) // 3) + 1):
-                oj = j - 3 * wj
-                w = self._p_weight(lc, wi, wj, oi, oj)
-                if w != 0.0:
-                    total += w * arr[wi, wj]
-        return total
+        def per_vertex(arrays, fill):
+            out = np.full(off[-1], fill)
+            for l in range(l0, ltop + 1):
+                out[off[l]:off[l + 1]] = np.broadcast_to(arrays[l], tree.u[l].shape).ravel()
+            return out
 
-    def _dlinear_parent(self, l: int, i: int, j: int) -> float:
-        ci, ri = divmod(i, 3)
-        cj, rj = divmod(j, 3)
-        coarse = self.tree.u[l - 1]
-        wi, wj = 1.0 - ri / 3.0, 1.0 - rj / 3.0
-        val = wi * wj * coarse[ci, cj]
-        if ri:
-            val += (1.0 - wi) * wj * coarse[ci + 1, cj]
-        if rj:
-            val += wi * (1.0 - wj) * coarse[ci, cj + 1]
-        if ri and rj:
-            val += (1.0 - wi) * (1.0 - wj) * coarse[ci + 1, cj + 1]
-        return val
+        kind = per_vertex({l: m["kinds"] for l, m in self.masks.items()}, VertexKind.NONE)
+        level = np.repeat(np.arange(ltop + 1), np.diff(off))
+        first = np.select([kind == VertexKind.HANGING, kind == VertexKind.DIRICHLET],
+                          [FIRST_HANGING, FIRST_DIRICHLET], FIRST_DOF)
+        damped = {"adafac-jac": level < ltop, "adafac-pi": level > l0}.get(cfg.variant, False)
+        first[(first == FIRST_DOF) & damped] = FIRST_DAMPED
+        last = np.select([kind == VertexKind.HANGING, kind == VertexKind.INTERIOR_DOF,
+                          kind == VertexKind.COARSE_OVERLAPPED],
+                         [LAST_HANGING, LAST_COMPOSITE, LAST_OVERLAPPED], LAST_NONE)
+        # the stream without cells and vertices below lmin, which a sweep
+        # leaves alone
+        cell = plan.event_kind == ENTER_CELL
+        ev, vid = plan.event_id, plan.event_id[~cell]
+        code = np.full(len(ev), ENTER)
+        code[~cell] = np.where(plan.event_kind[~cell] == FIRST_TOUCH, first[vid], last[vid])
+        ev_level = np.empty_like(ev)
+        ev_level[~cell], ev_level[cell] = level[vid], plan.cell_level[ev[cell]]
+        keep = ev_level >= l0
+        return SimpleNamespace(
+            stream=list(zip(code[keep].tolist(), ev[keep].tolist())), offsets=off,
+            cells=self._cell_rows(plan), diag=per_vertex(self.diag, 1.0).tolist(),
+            hw=per_vertex(self.hweight, 0.0).tolist(),
+            **self._vertex_rows(plan, kind == VertexKind.HANGING))
 
-    def _damping_chain(self, l: int, i: int, j: int) -> float:
-        """Injected damping of all finer levels, read at the coarse vertex.
-
-        The finer levels' damping updates of the cycle being applied exist
-        only as unconsumed accumulators here (their own first touches come
-        later in the descent), so the injection chain reads them directly.
-        The chain stops where the coincident finer vertex stops being a
-        persistent degree of freedom.
-        """
-        cfg = self.cfg
-        total = 0.0
-        ii, jj = i, j
-        for lj in range(l + 1, self.ltop + 1):
-            if not self.masks[lj - 1]["injected"][ii, jj]:
-                break
-            ii *= 3
-            jj *= 3
-            if cfg.variant == "adafac-jac":
-                if lj < self.ltop:
-                    total += cfg.damping_scale * cfg.wt * \
-                        self.helpers[lj]["bt_r"][ii, jj] / self.diag[lj][ii, jj]
-            elif cfg.variant == "adafac-pi":
-                total += cfg.damping_scale * self.helpers[lj - 1]["tco_r"][ii // 3, jj // 3]
-        return total
-
-    def _scatter_to_parent(self, l: int, i: int, j: int, res: float, rho: float) -> None:
-        lc = l - 1
-        nc = 3**lc
-        hlc = self.helpers[lc]
-        tr = self.transfers[lc]
-        jac = self.cfg.variant == "adafac-jac"
-        rt_const = jac and tr.rtilde is not None and tr.rtilde.ndim == 2
-        for wi in range(max(0, (i - 1) // 3), min(nc, (i + 3) // 3) + 1):
-            oi = i - 3 * wi
-            for wj in range(max(0, (j - 1) // 3), min(nc, (j + 3) // 3) + 1):
-                oj = j - 3 * wj
-                w = self._p_weight(lc, wi, wj, oi, oj)
-                if w != 0.0:
-                    hlc["b"][wi, wj] += w * res
+    def _vertex_rows(self, plan: TraversalPlan, hanging: np.ndarray) -> dict[str, list]:
+        """Per flat vertex id: d-linear parent terms (hanging vertices),
+        prolongation rows (also the scatter rows of the restriction) and R~
+        rows as (source, weight) lists in the order wi outer, wj inner with
+        zero weights skipped, damping-chain sources and c-point parent."""
+        l0, ltop = self.tree.lmin, self.ltop
+        jac, pi = self.cfg.variant == "adafac-jac", self.cfg.variant == "adafac-pi"
+        off, ids = plan.offsets, plan.vertex_id
+        nv = off[-1]
+        rows = {name: [()] * nv for name in ("dterms", "prow", "rrow", "chain")}
+        cpar = np.full(nv, -1)
+        geo = geometric_prolongation().values
+        for l in range(l0, ltop + 1):
+            lc, nc, span = l - 1, 3 ** (l - 1), slice(off[l], off[l + 1])
+            I, J = np.divmod(np.arange(off[l + 1] - off[l]), 3**l + 1)
+            qi, ri = np.divmod(I, 3)
+            qj, rj = np.divmod(J, 3)
+            wi, wj = 1.0 - ri / 3.0, 1.0 - rj / 3.0
+            terms = np.stack([ri >= 0, ri > 0, rj > 0, (ri > 0) & (rj > 0)], axis=1)
+            rows["dterms"][span] = _ragged(
+                terms & hanging[span, None],
+                np.stack([ids(lc, qi, qj), ids(lc, qi + 1, qj), ids(lc, qi, qj + 1),
+                          ids(lc, qi + 1, qj + 1)], axis=1),
+                np.stack([wi * wj, (1.0 - wi) * wj, wi * (1.0 - wj),
+                          (1.0 - wi) * (1.0 - wj)], axis=1))
+            if l > l0:
+                tr = self.transfers[lc]
+                ci = np.maximum(0, (I - 1) // 3)[:, None] + np.repeat(np.arange(3), 3)
+                cj = np.maximum(0, (J - 1) // 3)[:, None] + np.tile(np.arange(3), 3)
+                ok = (ci <= np.minimum(nc, (I + 3) // 3)[:, None]) & \
+                     (cj <= np.minimum(nc, (J + 3) // 3)[:, None])
+                ci, cj = np.minimum(ci, nc), np.minimum(cj, nc)
+                oi = np.clip(I[:, None] - 3 * ci, -3, 3) + 3
+                oj = np.clip(J[:, None] - 3 * cj, -3, 3) + 3
+                w = geo[oi, oj] if tr.p_table is None else tr.p_table[ci, cj, oi, oj]
+                rows["prow"][span] = _ragged(ok & (w != 0.0), ids(lc, ci, cj), w)
                 if jac:
-                    if rt_const:
-                        wrt = tr.rtilde[oi + 3, oj + 3]
-                    else:
-                        wrt = tr.rtilde[wi, wj, oi + 3, oj + 3]
-                    if wrt != 0.0:
-                        hlc["bt_w"][wi, wj] += wrt * rho
+                    rt = tr.rtilde[oi, oj] if tr.rtilde.ndim == 2 else tr.rtilde[ci, cj, oi, oj]
+                    rows["rrow"][span] = _ragged(ok & (rt != 0.0), ids(lc, ci, cj), rt)
+                cpt = (ri == 0) & (rj == 0)
+                cpar[span][cpt] = ids(lc, qi, qj)[cpt]
+            if not (jac or pi):
+                continue
+            # injected damping of finer levels: the injection targets at the
+            # vertex's position on levels k, as long as each one is injected;
+            # adafac-jac reads the damping of level k + 1 below the top
+            alive, live, srcs = np.ones(len(I), dtype=bool), [], []
+            for k in range(l, ltop - 1 if jac else ltop):
+                s = 3 ** (k - l)
+                alive = alive & self.masks[k]["injected"][I * s, J * s]
+                live.append(alive)
+                srcs.append(ids(k + 1, 3 * I * s, 3 * J * s) if jac else ids(k, I * s, J * s))
+            if srcs:
+                rows["chain"][span] = _ragged(np.stack(live, axis=1), np.stack(srcs, axis=1))
+        rows["cpar"] = cpar.tolist()
+        return rows
+
+    def _cell_rows(self, plan: TraversalPlan) -> list:
+        """Per cell of lmin and finer: its corners, the rows of its share of
+        the stored stencil (None for an element operator, which is eps
+        times the unit element matrix), its material sample and whether it
+        is refined."""
+        cells = [None] * len(plan.cell_level)
+        co = np.array(CORNER_OFFSETS)
+        for l in range(self.tree.lmin, self.ltop + 1):
+            idx = np.flatnonzero(plan.cell_level == l)
+            corners = plan.cell_corners[idx]
+            ci, cj = np.divmod(corners[:, 0] - plan.offsets[l], 3**l + 1)
+            rows = [None] * len(idx)
+            if not hasattr(self.ops[l], "eps"):
+                # a coupling of corners a and b is shared by every existing
+                # cell that contains both
+                ai, aj = ci[:, None, None] + co[:, None, 0], cj[:, None, None] + co[:, None, 1]
+                bi, bj = ci[:, None, None] + co[None, :, 0], cj[:, None, None] + co[None, :, 1]
+                exists = np.pad(self.tree.cells_exist(l), 1)
+                lo_i, hi_i = np.minimum(ai, bi), np.maximum(ai, bi)
+                lo_j, hi_j = np.minimum(aj, bj), np.maximum(aj, bj)
+                shares = sum(exists[hi_i + p, hi_j + q] & (hi_i + p <= lo_i + 1)
+                             & (hi_j + q <= lo_j + 1) for p in (0, 1) for q in (0, 1))
+                tbl = self.ops[l].table()[ai, aj, bi - ai + 1, bj - aj + 1]
+                rows = (tbl / shares.astype(float)).tolist()
+            for k, c, r, e, f in zip(idx.tolist(), corners.tolist(), rows,
+                                     self.eff_eps[l][ci, cj].tolist(),
+                                     plan.cell_refined[idx].tolist()):
+                cells[k] = (c, r, e, f)
+        return cells
 
     # -- sweep ---------------------------------------------------------------
 
@@ -239,142 +285,126 @@ class PipelineEngine(ReferenceEngine):
         return self.advance(**kw)
 
     def advance(self, capture_iterate: bool = False, count_touches: bool = False):
-        tree = self.tree
-        cfg = self.cfg
-        l0, ltop = tree.lmin, self.ltop
-        stats = self._new_stats()
-        snapshot = None
-        if capture_iterate:
-            snapshot = {l: tree.u[l].copy() for l in range(l0, ltop + 1)}
-        kinds = {l: self.masks[l]["kinds"] for l in range(l0, ltop + 1)}
+        if self._plan is None:
+            self._plan = self._compile()
+        plan = self._plan
+        tree, cfg = self.tree, self.cfg
+        l0, ltop, off = tree.lmin, self.ltop, plan.offsets
+        jac, pi = cfg.variant == "adafac-jac", cfg.variant == "adafac-pi"
+        omega, ds = cfg.omega, cfg.damping_scale
+        dsw = cfg.damping_scale * cfg.wt
+        cells, prow, rrow, dterms = plan.cells, plan.prow, plan.rrow, plan.dterms
+        chain, cpar, diag, hw = plan.chain, plan.cpar, plan.diag, plan.hw
+        E1 = ELEMENT_MATRIX_UNIT.tolist()
+        u = np.concatenate([tree.u[l].ravel() for l in range(ltop + 1)]).tolist()
+        h = dict(zip(HELPERS, self._store.tolist()))
+        sl, stlv, sc, sf, b = h["sl"], h["stl"], h["sc"], h["sf"], h["b"]
+        btr, btw, au, ar = h["bt_r"], h["bt_w"], h["acc_au"], h["acc_ar"]
+        tcor, tcow = h["tco_r"], h["tco_w"]
+        snap = list(u) if capture_iterate else None
+        counters = TraversalCounters({}, {}) if count_touches else None
+        l2h = linf = 0.0
 
-        def first_touch(v):
-            l = v.level
-            if l < l0:
-                return
-            i, j = v.i, v.j
-            h = self.helpers[l]
-            kind = kinds[l][i, j]
-            if kind == VertexKind.HANGING:
-                tree.u[l][i, j] = self._dlinear_parent(l, i, j)
-                h["sc"][i, j] = self._prolong_at(l - 1, self.helpers[l - 1]["sc"], i, j) \
-                    if l > l0 else 0.0
-            elif kind == VertexKind.DIRICHLET:
-                h["sc"][i, j] = 0.0
-            else:
-                stl = 0.0
-                if cfg.variant == "adafac-jac" and l < ltop:
-                    stl = cfg.damping_scale * cfg.wt * h["bt_r"][i, j] / self.diag[l][i, j]
-                elif cfg.variant == "adafac-pi" and l > l0:
-                    stl = cfg.damping_scale * self._prolong_at(
-                        l - 1, self.helpers[l - 1]["tco_r"], i, j)
-                h["stl"][i, j] = stl
-                carry_in = self._prolong_at(l - 1, self.helpers[l - 1]["sc"], i, j) \
-                    if l > l0 else 0.0
-                u = tree.u[l]
-                u[i, j] += carry_in - stl
-                h["sc"][i, j] = h["sl"][i, j] - stl + carry_in
-                u[i, j] += h["sf"][i, j] - self._damping_chain(l, i, j)
-            h["sf"][i, j] = 0.0
-            h["b"][i, j] = 0.0
-            h["acc_au"][i, j] = 0.0
-            h["acc_ar"][i, j] = 0.0
-            if snapshot is not None:
-                snapshot[l][i, j] = tree.u[l][i, j]
-
-        def descend(cell, verts, parent, parent_verts):
-            l = cell.level
-            if l < l0:
-                return
-            h = self.helpers[l]
-            u = tree.u[l]
-            split = self._splits[l]
-            refined = tree.is_refined(cell)
-            cidx = [(v.i, v.j) for v in verts]
-            uv = [u[p] for p in cidx]
-            E1 = ELEMENT_MATRIX_UNIT
-            eps = float(self.eff_eps[l][cell.i, cell.j])
-            if split is None:
-                for a in range(4):
-                    acc = 0.0
-                    for b in range(4):
-                        acc += E1[a, b] * uv[b]
-                    h["acc_au"][cidx[a]] += eps * acc
-                    if refined:
-                        h["acc_ar"][cidx[a]] += eps * acc
-            else:
-                for a in range(4):
-                    ai, aj = cidx[a]
-                    acc = 0.0
-                    acce = 0.0
-                    for b in range(4):
-                        da = cidx[b][0] - ai + 1
-                        db = cidx[b][1] - aj + 1
-                        acc += split[ai, aj, da, db] * uv[b]
+        for code, x in plan.stream:
+            if code == ENTER:
+                corners, rows, eps, refined = cells[x]
+                u0, u1, u2, u3 = u[corners[0]], u[corners[1]], u[corners[2]], u[corners[3]]
+                if rows is None:
+                    for va, (e0, e1, e2, e3) in zip(corners, E1):
+                        acc = eps * (e0 * u0 + e1 * u1 + e2 * u2 + e3 * u3)
+                        au[va] += acc
                         if refined:
-                            acce += E1[a, b] * uv[b]
-                    h["acc_au"][ai, aj] += acc
-                    if refined:
-                        h["acc_ar"][ai, aj] += eps * acce
+                            ar[va] += acc
+                else:
+                    for va, (m0, m1, m2, m3), (e0, e1, e2, e3) in zip(corners, rows, E1):
+                        au[va] += m0 * u0 + m1 * u1 + m2 * u2 + m3 * u3
+                        if refined:
+                            ar[va] += eps * (e0 * u0 + e1 * u1 + e2 * u2 + e3 * u3)
+                continue
+            if code <= FIRST_DAMPED:
+                if code == FIRST_DIRICHLET:
+                    sc[x] = 0.0
+                else:
+                    carry = 0.0
+                    for s, w in prow[x]:
+                        carry += w * sc[s]
+                    if code == FIRST_HANGING:
+                        (s, w), *rest = dterms[x]
+                        val = w * u[s]
+                        for s, w in rest:
+                            val += w * u[s]
+                        u[x] = val
+                        sc[x] = carry
+                    else:
+                        stl = 0.0
+                        if code == FIRST_DAMPED and jac:
+                            stl = dsw * btr[x] / diag[x]
+                        elif code == FIRST_DAMPED:
+                            t = 0.0
+                            for s, w in prow[x]:
+                                t += w * tcor[s]
+                            stl = ds * t
+                        stlv[x] = stl
+                        u[x] += carry - stl
+                        sc[x] = sl[x] - stl + carry
+                        # finer levels' damping of the cycle being applied,
+                        # injected here from their unconsumed accumulators
+                        damp = 0.0
+                        for s in chain[x]:
+                            damp += dsw * btr[s] / diag[s] if jac else ds * tcor[s]
+                        u[x] += sf[x] - damp
+                sf[x] = b[x] = au[x] = ar[x] = 0.0
+                if snap is not None:
+                    snap[x] = u[x]
+                if counters is not None:
+                    counters.loads[x] = counters.loads.get(x, 0) + 1
+                continue
+            if counters is not None:
+                counters.stores[x] = counters.stores.get(x, 0) + 1
+            if code == LAST_NONE:
+                continue
+            rho = b[x] + (au[x] if code == LAST_OVERLAPPED else ar[x]) - au[x]
+            if code != LAST_HANGING:
+                if code == LAST_COMPOSITE:
+                    l2h += (hw[x] * rho) ** 2
+                    a = abs(rho)
+                    if a > linf:
+                        linf = a
+                d = omega * rho / diag[x]
+                sl[x] = d
+                u[x] += d
+                for s, w in rrow[x]:
+                    btw[s] += w * rho
+                p = cpar[x]
+                if p >= 0:
+                    sf[p] = sf[x] + d
+                    if pi:
+                        tcow[p] = d
+            # hanging vertices carry no equation, but their residual moves
+            # on coarse-ward so composite transitions stay consistent; the
+            # damping right-hand side only collects smoothed vertices
+            for s, w in prow[x]:
+                b[s] += w * rho
 
-        def last_touch(v):
-            l = v.level
-            if l < l0:
-                return
-            i, j = v.i, v.j
-            kind = kinds[l][i, j]
-            if kind in (VertexKind.NONE, VertexKind.DIRICHLET):
-                return
-            h = self.helpers[l]
-            overlapped = kind == VertexKind.COARSE_OVERLAPPED
-            bpart = h["acc_au"][i, j] if overlapped else h["acc_ar"][i, j]
-            rho = h["b"][i, j] + bpart - h["acc_au"][i, j]
-            if kind == VertexKind.HANGING:
-                # no equation here, but the accumulated residual moves on
-                # coarse-ward so composite transitions stay consistent; the
-                # damping right-hand side only collects smoothed vertices
-                if l > l0:
-                    self._scatter_to_parent(l, i, j, rho, 0.0)
-                return
-            if kind == VertexKind.INTERIOR_DOF:
-                hw = self.hweight[l]
-                hwv = hw[0, 0] if hw.shape == (1, 1) else hw[i, j]
-                stats.l2h += (hwv * rho) ** 2
-                stats.linf = max(stats.linf, abs(rho))
-            d = cfg.omega * rho / self.diag[l][i, j]
-            h["sl"][i, j] = d
-            tree.u[l][i, j] += d
-            if l > l0:
-                self._scatter_to_parent(l, i, j, rho, rho)
-                if i % 3 == 0 and j % 3 == 0:
-                    ci, cj = i // 3, j // 3
-                    self.helpers[l - 1]["sf"][ci, cj] = h["sf"][i, j] + d
-                    if cfg.variant == "adafac-pi":
-                        self.helpers[l - 1]["tco_w"][ci, cj] = d
-
-        counters = traverse(
-            tree,
-            descend_into_cell=descend,
-            touch_vertex_first_time=first_touch,
-            touch_vertex_last_time=last_touch,
-            child_order=self.child_order,
-            count_touches=count_touches,
-        )
+        flat_u = np.array(u)
+        for l in range(l0, ltop + 1):
+            tree.u[l][...] = flat_u[off[l]:off[l + 1]].reshape(tree.u[l].shape)
         # swap the double-buffered damping accumulators: what this sweep
         # scattered becomes readable next sweep (patch-boundary sources can
         # fire before their coarse targets are first-touched, so a single
         # buffer would mix cycles on adaptive meshes)
-        if cfg.variant == "adafac-jac":
-            for l in range(l0, ltop + 1):
-                h = self.helpers[l]
-                h["bt_r"], h["bt_w"] = h["bt_w"], h["bt_r"]
-                h["bt_w"].fill(0.0)
-        if cfg.variant == "adafac-pi":
-            for l in range(l0, ltop + 1):
-                h = self.helpers[l]
-                h["tco_r"], h["tco_w"] = h["tco_w"], h["tco_r"]
-                h["tco_w"].fill(0.0)
+        if jac:
+            h["bt_r"], h["bt_w"] = btw, [0.0] * len(btw)
+        if pi:
+            h["tco_r"], h["tco_w"] = tcow, [0.0] * len(tcow)
+        self._store[...] = [h[name] for name in HELPERS]
+        if snap is not None:
+            snap = np.array(snap)
+            snap = {l: snap[off[l]:off[l + 1]].reshape(tree.u[l].shape)
+                    for l in range(l0, ltop + 1)}
         self._swept = True
-        self.last_snapshot = snapshot
+        self.last_snapshot = snap
         self.last_counters = counters
+        stats = self._new_stats()
+        stats.l2h, stats.linf = l2h, linf
         return self.finalize_stats(stats)

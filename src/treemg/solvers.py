@@ -41,6 +41,7 @@ regression tests can compare iterates bitwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,7 +66,6 @@ __all__ = [
     "CycleStats",
     "ReferenceEngine",
     "count_updates",
-    "jacobi_step",
 ]
 
 VARIANTS = (
@@ -127,17 +127,6 @@ def count_updates(level_dofs: dict[int, int], variant: str, lmin: int, lmax: int
     return total
 
 
-def jacobi_step(op, u: np.ndarray, b: np.ndarray, omega: float,
-                dof_mask: np.ndarray) -> np.ndarray:
-    """Damped Jacobi update d = omega diag(A)^-1 (b - A u), not applied.
-
-    Rows outside dof_mask (Dirichlet, hanging) stay zero.
-    """
-    diag = op.diag()
-    safe = np.where(dof_mask, diag, 1.0)
-    return np.where(dof_mask, omega * (b - op.apply(u)) / safe, 0.0)
-
-
 class ReferenceEngine:
     """Runs cycles on a spacetree; the semantic ground truth engine.
 
@@ -160,6 +149,7 @@ class ReferenceEngine:
         self.ltop = tree.depth
         if self.ltop < tree.lmin:
             raise ValueError("tree has no DoF-carrying level at or above lmin")
+        self.__dict__.pop("diag", None)
         self.ops: dict[int, object] = {}
         self.transfers: dict[int, TransferOps] = {}
         self.masks: dict[int, dict[str, np.ndarray]] = {}
@@ -277,6 +267,16 @@ class ReferenceEngine:
                 raise ValueError("the two-grid reference needs a regular two-level tree")
             self._coarse_dense = self._dense_interior_matrix(tree.lmin)
 
+    @cached_property
+    def diag(self) -> dict[int, np.ndarray]:
+        """Per-level operator diagonal, 1 off the equation-carrying vertices.
+
+        Built at the first cycle after rebuild(), which drops it, so that
+        set-up pays only for the operators.
+        """
+        return {l: np.where(self.masks[l]["dof"], self.ops[l].diag(), 1.0)
+                for l in range(self.tree.lmin, self.ltop + 1)}
+
     def _regular(self) -> bool:
         return all(
             self.tree.refined[l].all() for l in range(self.ltop)
@@ -384,7 +384,7 @@ class ReferenceEngine:
         rho_fine = None
         for l, rho_dof in self._residual_chain(stats):
             dof = self.masks[l]["dof"]
-            diag = np.where(dof, self.ops[l].diag(), 1.0)
+            diag = self.diag[l]
             if cfg.variant == "bpx" and l < l1:
                 d[l] = cfg.omega * rho_dof
             else:
@@ -429,8 +429,7 @@ class ReferenceEngine:
         rho_c0 = np.where(dof_c, self.transfers[l0].restrict(rho), 0.0)
         self._accumulate_stats(stats, l0, rho_c0)
 
-        diag_f = np.where(dof_f, op_f.diag(), 1.0)
-        tree.u[l1] += cfg.omega * rho / diag_f
+        tree.u[l1] += cfg.omega * rho / self.diag[l1]
         self.update_fas_state()
 
         rho_sm = np.where(dof_f, self._rhs(l1) - op_f.apply(tree.u[l1]), 0.0)

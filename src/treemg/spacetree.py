@@ -8,25 +8,25 @@ hanging vertices (fewer than four adjacent same-level cells) and
 coarse-overlapped vertices (all four adjacent cells refined, so a finer
 copy carries the solution).
 
-Vertex storage is per-level array stores rather than traversal stacks; the
-single-touch property of the depth-first traversal is enforced by contract
-and checked by instrumentation counters, not by stack mechanics.  Hanging
-vertices are not held persistently: their values are re-interpolated from
-the parent level whenever they are needed.
+Vertex storage is per-level array stores rather than traversal stacks.
+``traverse`` compiles the depth-first multiscale traversal of a mesh into a
+flat event stream (first touch of a vertex, entering a cell, last touch of
+a vertex), which an engine replays once per sweep; every vertex of the
+stream has one flat integer id across all levels.  Hanging vertices are not
+held persistently: their values are re-interpolated from the parent level
+whenever they are needed.
 
 Refinement works on whole levels: ``refine_many`` takes one boolean cell
 mask per level, shaped like ``refined[l]``, sets the marked cells, and finds
 the child vertices that gain their first adjacent cell by comparing
 adjacent-cell counts before and after.  Those get d-linear values from the
 parent level in one masked assignment, and the boundary data on the edge.
-``CellId``/``VertexId`` remain for the traversal API and single-cell
-queries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -34,37 +34,17 @@ from .discretization import EpsilonField, constant_field, epsilon_cells
 from .operators import prolong_values
 
 __all__ = [
-    "CellId",
-    "VertexId",
     "VertexKind",
     "Spacetree",
     "build_regular",
     "traverse",
+    "vertex_offsets",
+    "TraversalPlan",
     "TraversalCounters",
+    "FIRST_TOUCH", "ENTER_CELL", "LAST_TOUCH",
     "PEANO_CHILD_ORDER",
     "LEX_CHILD_ORDER",
 ]
-
-
-@dataclass(frozen=True, order=True)
-class CellId:
-    level: int
-    i: int
-    j: int
-
-    def parent(self) -> "CellId":
-        return CellId(self.level - 1, self.i // 3, self.j // 3)
-
-
-@dataclass(frozen=True, order=True)
-class VertexId:
-    level: int
-    i: int
-    j: int
-
-    def position(self) -> tuple[float, float]:
-        n = 3**self.level
-        return (self.i / n, self.j / n)
 
 
 class VertexKind:
@@ -143,16 +123,6 @@ class Spacetree:
             return np.ones((1, 1), dtype=bool)
         return np.repeat(np.repeat(self.refined[level - 1], 3, axis=0), 3, axis=1)
 
-    def cell_exists(self, cell: CellId) -> bool:
-        if cell.level == 0:
-            return True
-        return bool(self.refined[cell.level - 1][cell.i // 3, cell.j // 3])
-
-    def is_refined(self, cell: CellId) -> bool:
-        if cell.level >= self.lmax:
-            return False
-        return bool(self.refined[cell.level][cell.i, cell.j])
-
     def adjacent_cell_count(self, level: int) -> np.ndarray:
         """Number of existing level cells around each vertex of the level."""
         exists = self.cells_exist(level).astype(np.int8)
@@ -204,24 +174,6 @@ class Spacetree:
 
     # -- refinement --------------------------------------------------------
 
-    def refine(self, cell: CellId) -> set[VertexId] | None:
-        """Refine one cell; returns the set of newly created vertices.
-
-        Refining a cell at lmax is a no-op and returns None; a cell that
-        does not exist or is already refined raises.  New vertices are
-        initialized as in refine_many.
-        """
-        if not self.cell_exists(cell):
-            raise ValueError(f"cell {cell} does not exist")
-        if cell.level >= self.lmax:
-            return None
-        if self.is_refined(cell):
-            raise ValueError(f"cell {cell} is already refined")
-        marks = [np.zeros_like(r) for r in self.refined[: cell.level + 1]]
-        marks[cell.level][cell.i, cell.j] = True
-        made = self.refine_many(marks)[cell.level + 1]
-        return {VertexId(cell.level + 1, int(i), int(j)) for i, j in zip(*np.nonzero(made))}
-
     def refine_many(self, marks: list[np.ndarray]) -> list[np.ndarray]:
         """Refine the cells of per-level masks, coarse levels first.
 
@@ -235,7 +187,7 @@ class Spacetree:
         for l, mark in enumerate(marks):
             missing = np.argwhere(mark & ~self.cells_exist(l))
             if len(missing):
-                raise ValueError(f"cell {CellId(l, *map(int, missing[0]))} does not exist")
+                raise ValueError(f"cell {(l, *map(int, missing[0]))} does not exist")
         created: dict[int, np.ndarray] = {}
         for l, mark in enumerate(marks):
             new = mark & ~self.refined[l]
@@ -259,14 +211,6 @@ class Spacetree:
             created[child] = made
         return [created.get(l, np.zeros(u.shape, dtype=bool)) for l, u in enumerate(self.u)]
 
-    def cell_vertices(self, cell: CellId) -> tuple[VertexId, VertexId, VertexId, VertexId]:
-        return (
-            VertexId(cell.level, cell.i, cell.j),
-            VertexId(cell.level, cell.i + 1, cell.j),
-            VertexId(cell.level, cell.i, cell.j + 1),
-            VertexId(cell.level, cell.i + 1, cell.j + 1),
-        )
-
 
 def build_regular(levels: int, lmin: int = 1, lmax: int | None = None,
                   field: EpsilonField | None = None) -> Spacetree:
@@ -285,71 +229,93 @@ def build_regular(levels: int, lmin: int = 1, lmax: int | None = None,
     return tree
 
 
+FIRST_TOUCH, ENTER_CELL, LAST_TOUCH = 0, 1, 2
+
+
+@dataclass
+class TraversalPlan:
+    """The depth-first multiscale traversal of one mesh, as flat streams.
+
+    Vertex (l, i, j) has the flat id offsets[l] + i * (3**l + 1) + j.  The
+    event stream (event_kind[k], event_id[k]) lists, in traversal order,
+    FIRST_TOUCH of a vertex id when its first adjacent same-level cell is
+    entered, ENTER_CELL of a cell index, and LAST_TOUCH of a vertex id after
+    its last adjacent cell has been left.  Cells are indexed in the order
+    they are entered; cell_corners holds their vertex ids in the order
+    (i, j), (i+1, j), (i, j+1), (i+1, j+1).
+    """
+
+    offsets: list[int]
+    event_kind: np.ndarray
+    event_id: np.ndarray
+    cell_level: np.ndarray
+    cell_corners: np.ndarray
+    cell_refined: np.ndarray
+
+    def vertex_id(self, level: int, i, j):
+        """Flat id of vertex (level, i, j); elementwise on index arrays."""
+        return self.offsets[level] + i * (3**level + 1) + j
+
+
 @dataclass
 class TraversalCounters:
     """Instrumentation of one depth-first sweep.
 
-    loads[v] counts first touches, stores[v] last touches.  A correct sweep
-    loads and stores every persistent vertex exactly once.
+    loads[v] counts first touches, stores[v] last touches, keyed by flat
+    vertex id.  A correct sweep loads and stores every persistent vertex
+    exactly once.
     """
 
-    loads: dict[VertexId, int]
-    stores: dict[VertexId, int]
+    loads: dict[int, int]
+    stores: dict[int, int]
 
     def max_load_count(self) -> int:
         return max(self.loads.values()) if self.loads else 0
 
 
-def traverse(
-    tree: Spacetree,
-    descend_into_cell: Callable | None = None,
-    touch_vertex_first_time: Callable | None = None,
-    touch_vertex_last_time: Callable | None = None,
-    backtrack_from_cell: Callable | None = None,
-    child_order: Iterable[tuple[int, int]] = PEANO_CHILD_ORDER,
-    count_touches: bool = False,
-) -> TraversalCounters | None:
-    """Depth-first multiscale traversal of all existing cells.
+def vertex_offsets(depth: int) -> list[int]:
+    """Flat id of vertex (0, 0) of each level 0..depth, plus the total."""
+    return np.cumsum([0] + [(3**l + 1) ** 2 for l in range(depth + 1)]).tolist()
 
-    Per cell the visitor sees the cell, its four vertices, the parent cell
-    and the parent's four vertices.  Each persistent vertex receives exactly
-    one first-touch when its first adjacent same-level cell is entered and
-    one last-touch after its last adjacent cell has been left.
+
+def traverse(tree: Spacetree,
+             child_order: Iterable[tuple[int, int]] = PEANO_CHILD_ORDER) -> TraversalPlan:
+    """Compile the depth-first traversal of all existing cells.
+
+    Children are entered in child_order.  Each persistent vertex receives
+    exactly one first touch and one last touch, so replaying the plan
+    touches every vertex once per sweep.
     """
-    counters = TraversalCounters({}, {}) if count_touches else None
     order = tuple(child_order)
-    touched: list[np.ndarray] = []
-    adjacency: list[np.ndarray] = []
-    for l in range(tree.depth + 1):
-        n = 3**l
-        touched.append(np.zeros((n + 1, n + 1), dtype=np.int8))
-        adjacency.append(tree.adjacent_cell_count(l))
-
-    def visit(cell: CellId, parent: CellId | None) -> None:
-        verts = tree.cell_vertices(cell)
-        lvl = cell.level
-        for v in verts:
-            touched[lvl][v.i, v.j] += 1
-            if touched[lvl][v.i, v.j] == 1:
-                if counters is not None:
-                    counters.loads[v] = counters.loads.get(v, 0) + 1
-                if touch_vertex_first_time is not None:
-                    touch_vertex_first_time(v)
-        parent_verts = tree.cell_vertices(parent) if parent is not None else None
-        if descend_into_cell is not None:
-            descend_into_cell(cell, verts, parent, parent_verts)
-        if tree.is_refined(cell):
-            for a, b in order:
-                visit(CellId(lvl + 1, 3 * cell.i + a, 3 * cell.j + b), cell)
-        if backtrack_from_cell is not None:
-            backtrack_from_cell(cell, verts, parent, parent_verts)
-        for v in verts:
-            if touched[lvl][v.i, v.j] == adjacency[lvl][v.i, v.j]:
-                touched[lvl][v.i, v.j] += 1  # guard against double last-touch
-                if counters is not None:
-                    counters.stores[v] = counters.stores.get(v, 0) + 1
-                if touch_vertex_last_time is not None:
-                    touch_vertex_last_time(v)
-
-    visit(CellId(0, 0, 0), None)
-    return counters
+    depth = tree.depth
+    offsets = vertex_offsets(depth)
+    adjacent = np.concatenate(
+        [tree.adjacent_cell_count(l).ravel() for l in range(depth + 1)]).tolist()
+    refined = [tree.refined[l].tolist() for l in range(depth)]
+    touched = [0] * offsets[-1]
+    events: list[tuple[int, int]] = []
+    cells: list[tuple[int, ...]] = []  # (level, refined, four corner ids)
+    # an entry (l, i, j) enters a cell; None on top of its corners leaves it
+    stack: list = [(0, 0, 0)]
+    while stack:
+        top = stack.pop()
+        if top is None:
+            events += [(LAST_TOUCH, v) for v in stack.pop() if touched[v] == adjacent[v]]
+            continue
+        l, i, j = top
+        row = 3**l + 1
+        v = offsets[l] + i * row + j
+        corners = (v, v + row, v + 1, v + row + 1)
+        for v in corners:
+            touched[v] += 1
+        events += [(FIRST_TOUCH, v) for v in corners if touched[v] == 1]
+        events.append((ENTER_CELL, len(cells)))
+        split = l < depth and refined[l][i][j]
+        cells.append((l, split) + corners)
+        stack += [corners, None]
+        if split:
+            stack.extend((l + 1, 3 * i + a, 3 * j + b) for a, b in reversed(order))
+    ev = np.array(events, dtype=np.int64)
+    cell = np.array(cells, dtype=np.int64)
+    return TraversalPlan(offsets, ev[:, 0], ev[:, 1], cell[:, 0], cell[:, 2:],
+                         cell[:, 1].astype(bool))

@@ -14,14 +14,15 @@ from treemg.amr import (
 from treemg.discretization import boundary_value
 from treemg.operators import prolong_values
 from treemg.solvers import ReferenceEngine, SolverConfig
-from treemg.spacetree import CellId, VertexKind, build_regular
+from treemg.spacetree import VertexKind, build_regular
 
 
 def cell_masks(tree, cells):
-    """Per-level cell masks, shaped like tree.refined, holding the given cells."""
+    """Per-level cell masks, shaped like tree.refined, holding the given
+    (level, i, j) cells."""
     masks = [np.zeros_like(r) for r in tree.refined]
-    for c in cells:
-        masks[c.level][c.i, c.j] = True
+    for l, i, j in cells:
+        masks[l][i, j] = True
     return masks
 
 
@@ -40,7 +41,7 @@ def test_mark_boundary_cadence():
     tree = build_regular(2, lmax=4)
     assert not marked(mark_boundary(tree, 1))
     marks = mark_boundary(tree, 0)
-    want = cell_masks(tree, [CellId(2, i, 0) for i in range(9)])
+    want = cell_masks(tree, [(2, i, 0) for i in range(9)])
     assert len(marks) == len(want)
     assert all((m == w).all() for m, w in zip(marks, want))
     assert all((m == w).all() for m, w in zip(mark_boundary(tree, 2), marks))
@@ -113,7 +114,7 @@ def test_marked_fraction_in_band():
 def test_apply_refinement_reports_and_grows():
     tree = build_regular(1, lmax=2)
     before = tree.depth
-    rep = apply_refinement(tree, cell_masks(tree, [CellId(1, 0, 0), CellId(1, 1, 1)]))
+    rep = apply_refinement(tree, cell_masks(tree, [(1, 0, 0), (1, 1, 1)]))
     assert rep.refined_cells == 2
     assert rep.created_vertices > 0
     assert tree.depth == before + 1
@@ -143,7 +144,7 @@ def test_hanging_values_interpolated_after_regrid():
     eng = ReferenceEngine(tree, SolverConfig(variant="additive"))
     for _ in range(3):
         eng.advance()
-    apply_refinement(tree, cell_masks(tree, [CellId(2, 4, 4)]))
+    apply_refinement(tree, cell_masks(tree, [(2, 4, 4)]))
     eng.rebuild()
     eng.update_fas_state()
     kinds = tree.vertex_kinds(3)
@@ -162,7 +163,7 @@ def test_refinement_keeps_residual_change_local():
     # u is now nearly constant in the domain interior; refining one cell far
     # from the boundary barely perturbs the residual elsewhere
     before = eng.residual_stats()
-    apply_refinement(tree, cell_masks(tree, [CellId(2, 4, 4)]))
+    apply_refinement(tree, cell_masks(tree, [(2, 4, 4)]))
     eng.rebuild()
     eng.update_fas_state()
     after = eng.residual_stats()
@@ -187,13 +188,13 @@ def test_cells_for_vertices_matches_neighbour_loop(graded):
     want = [np.zeros_like(r) for r in graded.refined]
     for l in range(graded.lmax):
         n = 3**l
+        exists = graded.cells_exist(l)
         for i, j in np.argwhere(vmarks[l]):
             for ci in (i - 1, i):
                 for cj in (j - 1, j):
                     if not (0 <= ci < n and 0 <= cj < n):
                         continue
-                    c = CellId(l, int(ci), int(cj))
-                    if graded.cell_exists(c) and not graded.is_refined(c):
+                    if exists[ci, cj] and not graded.refined[l][ci, cj]:
                         want[l][ci, cj] = True
     assert len(cells) == len(want)
     assert all((c == w).all() for c, w in zip(cells, want))
@@ -208,9 +209,9 @@ def test_mark_boundary_matches_cell_loop(run_states):
             want = [np.zeros_like(r) for r in tree.refined]
             if cycle % 2 == 0:
                 for l in range(tree.lmax):
+                    exists = tree.cells_exist(l)
                     for i in range(3**l):
-                        c = CellId(l, i, 0)
-                        if tree.cell_exists(c) and not tree.is_refined(c):
+                        if exists[i, 0] and not tree.refined[l][i, 0]:
                             want[l][i, 0] = True
             assert [m.shape for m in marks] == [r.shape for r in tree.refined]
             assert all((m == w).all() for m, w in zip(marks, want))
@@ -263,7 +264,7 @@ def test_refine_many_creates_vertices_like_cell_loop(graded):
 def test_regrid_report_counts_match_cell_loop(graded):
     marks = random_cell_marks(graded, seed=7)
     todo = sum(1 for l, m in enumerate(marks) for i, j in np.argwhere(m)
-               if not graded.is_refined(CellId(l, int(i), int(j))))
+               if not graded.refined[l][i, j])
     want_created, _ = refine_by_loop(graded, marks)
     rep = apply_refinement(graded, marks)
     assert rep.refined_cells == todo > 0
@@ -273,7 +274,7 @@ def test_regrid_report_counts_match_cell_loop(graded):
 def test_refine_many_rejects_missing_and_skips_refined(graded):
     refined = [r.copy() for r in graded.refined]
     u = [a.copy() for a in graded.u]
-    missing = cell_masks(graded, [CellId(1, 0, 0)])
+    missing = cell_masks(graded, [(1, 0, 0)])
     missing[3][tuple(np.argwhere(~graded.cells_exist(3))[0])] = True
     with pytest.raises(ValueError, match="does not exist"):
         graded.refine_many(missing)

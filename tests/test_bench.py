@@ -214,3 +214,23 @@ def test_perfbench_trace_spans_resolve():
     for place in places:
         owner, name = tracing._owner(place)
         assert callable(getattr(owner, name, None)), place
+
+
+def test_pipelined_run_calls_traverse_through_module_name(monkeypatch):
+    # perfbench/run.py --trace 1 records the spacetree.traverse span by
+    # wrapping treemg.pipeline.traverse; a compiler bound at import time or
+    # renamed would leave that span without calls
+    import treemg.pipeline
+
+    calls = []
+    compile_plan = treemg.pipeline.traverse
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return compile_plan(*args, **kwargs)
+
+    monkeypatch.setattr(treemg.pipeline, "traverse", counting)
+    res = run(ExperimentConfig(setup="poisson", variant="adafac-jac", lmax=2,
+                               engine="pipelined", max_cycles=3, target=1e-30))
+    assert len(res.reports) == 4
+    assert len(calls) >= 1

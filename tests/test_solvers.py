@@ -10,7 +10,6 @@ from treemg.solvers import (
     ReferenceEngine,
     SolverConfig,
     count_updates,
-    jacobi_step,
 )
 from treemg.spacetree import build_regular
 
@@ -76,38 +75,6 @@ def test_engine_boxmg_matches_dense_on_jump(variant):
     want = dense_cycle(h, variant, fine_vec(tree, eng))
     eng.advance()
     assert np.abs(fine_vec(tree, eng) - want).max() < 1e-12
-
-
-def test_jacobi_step_zero_at_solution():
-    tree, eng = make_engine(2)
-    u_star = exact_solve(build_hierarchy(1, 2, POISSON).fine())
-    tree.u[2][:, :] = u_star.reshape(tree.u[2].shape)
-    eng.update_fas_state()
-    op = eng.ops[2]
-    d = jacobi_step(op, tree.u[2], np.zeros_like(tree.u[2]), 0.6, tree.dof_mask(2))
-    assert np.abs(d).max() < 1e-13
-
-
-def test_jacobi_step_single_dof():
-    tree, eng = make_engine(1)
-    # level 1 has 4 DoFs; zero them and check d = omega * b / diag
-    tree.u[1][:, :] = 0.0
-    op = eng.ops[1]
-    b = np.zeros_like(tree.u[1])
-    b[1, 1] = 2.0
-    d = jacobi_step(op, tree.u[1], b, 0.6, tree.dof_mask(1))
-    assert d[1, 1] == pytest.approx(0.6 * 2.0 / (8.0 / 3.0))
-
-
-def test_jacobi_step_matches_dense():
-    tree, eng = make_engine(1)
-    randomize(tree, eng, seed=9)
-    h = build_hierarchy(1, 1, POISSON)
-    lvl = h.fine()
-    u = fine_vec(tree, eng)
-    want = 0.6 * lvl.inv_diag * (-lvl.a @ u)
-    d = jacobi_step(eng.ops[1], tree.u[1], np.zeros_like(tree.u[1]), 0.6, tree.dof_mask(1))
-    assert np.abs(d.reshape(-1) - want).max() < 1e-14
 
 
 def test_update_fas_state_bilinear_surplus_vanishes():
