@@ -14,18 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bench import (
-    CSV_HEADER,
-    ENGINES,
-    EXIT_CONFIG_ERROR,
-    ConfigError,
-    ExperimentConfig,
-    RunResult,
-    SETUPS,
-    run,
-    write_csv,
-)
-from .solvers import VARIANTS
+from .bench import EXIT_CONFIG_ERROR, ConfigError, ExperimentConfig, run, write_csv
 
 __all__ = ["main", "parse_args", "config_from_sources"]
 
@@ -70,47 +59,40 @@ def read_config_file(path: str) -> dict:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a configuration error."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def parse_args(argv=None) -> argparse.Namespace:
-    ap = argparse.ArgumentParser(
+    """Raw flag values; config_from_sources parses and validates them."""
+    ap = _Parser(
         prog="treemg-bench",
         description="Additive spacetree multigrid benchmark runner.",
     )
     ap.add_argument("--config", help="key=value configuration file")
-    ap.add_argument("--setup", choices=SETUPS)
-    ap.add_argument("--variant", choices=VARIANTS)
-    ap.add_argument("--flavor", choices=("geometric", "boxmg"))
-    ap.add_argument("--k", type=int)
-    ap.add_argument("--lmax", type=int)
-    ap.add_argument("--lmin", type=int)
-    ap.add_argument("--omega", type=float)
-    ap.add_argument("--omega-tilde", dest="omega_tilde", type=float)
-    ap.add_argument("--omega-hat", dest="omega_hat", type=float)
-    ap.add_argument("--amr", choices=tuple(_BOOL))
-    ap.add_argument("--boundary-cadence", dest="boundary_cadence", type=int)
-    ap.add_argument("--decile", type=float)
-    ap.add_argument("--engine", choices=ENGINES)
-    ap.add_argument("--target", type=float)
-    ap.add_argument("--max-cycles", dest="max_cycles", type=int)
-    ap.add_argument("--divergence", type=float)
-    ap.add_argument("--out", help="CSV output path (default stdout)")
+    for key in _FIELDS:
+        ap.add_argument("--" + key.replace("_", "-"), dest=key,
+                        help="CSV output path (default stdout)" if key == "out" else None)
     return ap.parse_args(argv)
 
 
 def config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     values = read_config_file(args.config) if args.config else {}
     for key in _FIELDS:
-        got = getattr(args, key, None)
+        got = getattr(args, key)
         if got is not None:
-            values[key] = _BOOL[got] if key == "amr" else got
+            values[key] = _parse_value(key, got)
     cfg = ExperimentConfig(**values)
     cfg.validate()
     return cfg
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
     try:
-        cfg = config_from_sources(args)
+        cfg = config_from_sources(parse_args(argv))
     except (ConfigError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

@@ -25,11 +25,9 @@ __all__ = [
     "skew_checkerboard",
     "epsilon_at",
     "boundary_value",
-    "element_matrix",
     "ELEMENT_MATRIX_UNIT",
     "CORNER_OFFSETS",
     "interior_stencil",
-    "assemble_vertex_stencil",
 ]
 
 # Corner numbering of a cell, used by every element-wise loop in the package.
@@ -150,40 +148,7 @@ def boundary_value(x: float, y: float) -> float:
     return 1.0 if y == 0.0 else 0.0
 
 
-def element_matrix(eps: float) -> np.ndarray:
-    """4x4 element stiffness matrix for one cell with constant eps.
-
-    Rows/columns follow CORNER_OFFSETS.  The matrix is symmetric, has zero
-    row sums and scales linearly in eps; in 2D it does not depend on the
-    element size.
-    """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return eps * ELEMENT_MATRIX_UNIT
-
-
 def interior_stencil(eps: float = 1.0) -> np.ndarray:
     """3x3 operator stencil of an interior vertex with constant eps."""
     return eps / 3.0 * np.array([[-1.0, -1.0, -1.0], [-1.0, 8.0, -1.0], [-1.0, -1.0, -1.0]])
 
-
-def assemble_vertex_stencil(eps_cells_around: np.ndarray) -> np.ndarray:
-    """Assemble the 3x3 stencil of a vertex from its four adjacent elements.
-
-    eps_cells_around is a 2x2 array ordered [di, dj] where cell (di, dj)
-    is the one extending from the vertex towards offset (2*di-1, 2*dj-1).
-    Missing cells (hanging or boundary truncation) are passed as 0.
-    """
-    stencil = np.zeros((3, 3))
-    for di in (0, 1):
-        for dj in (0, 1):
-            eps = float(eps_cells_around[di, dj])
-            if eps == 0.0:
-                continue
-            # Index of the vertex within that cell's corner numbering.
-            own = CORNER_OFFSETS.index((1 - di, 1 - dj))
-            for other, (ca, cb) in enumerate(CORNER_OFFSETS):
-                off_i = ca - (1 - di)
-                off_j = cb - (1 - dj)
-                stencil[off_i + 1, off_j + 1] += eps * ELEMENT_MATRIX_UNIT[own, other]
-    return stencil

@@ -10,10 +10,9 @@ A_c = R A P.
 
 The auxiliary damping solver additionally needs a smoothed restriction
 R~ = omega * R A diag(A)^-1, composed as stencils and truncated to the 7x7
-footprint of the tripartitioning transfer operators.  By default it is
-built from the unit-coefficient operator on every level, which removes the
-material parameter from the damping term on elements with constant
-coefficient.
+footprint of the tripartitioning transfer operators.  It is built from the
+unit-coefficient operator on every level, which removes the material
+parameter from the damping term on elements with constant coefficient.
 
 Array convention: vertex fields of a level with n cells per axis are
 (n+1, n+1) arrays indexed [i, j], i along x.  Stencil tables are
@@ -34,65 +33,32 @@ copies and added with one operation each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .discretization import ELEMENT_MATRIX_UNIT, CORNER_OFFSETS, interior_stencil
 
 __all__ = [
-    "Stencil",
     "geometric_prolongation",
     "prolong_values",
     "restrict_dlinear",
-    "inject",
     "ElementOperator",
     "TableOperator",
     "assemble_stencil_table",
     "boxmg_prolongation",
     "ritz_galerkin_coarse",
-    "geometric_p_table",
     "smoothed_restriction",
     "smoothed_restriction_table",
     "TransferOps",
 ]
 
 
-@dataclass(frozen=True)
-class Stencil:
-    """Fixed-footprint coefficient table anchored at its centre.
-
-    Operator stencils have half-width 1 (3x3); transfer and smoothed
-    stencils have half-width 3 (7x7) so they reach across one
-    tripartitioned cell.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or v.shape[0] % 2 == 0:
-            raise ValueError("stencil must be an odd square table")
-        if v.shape[0] not in (3, 7):
-            raise ValueError("stencil half-width must be 1 or 3")
-        object.__setattr__(self, "values", v)
-
-    @property
-    def half_width(self) -> int:
-        return self.values.shape[0] // 2
-
-    def __getitem__(self, offset: tuple[int, int]) -> float:
-        a, b = offset
-        w = self.half_width
-        return float(self.values[a + w, b + w])
-
-
-def geometric_prolongation() -> Stencil:
-    """Bilinear interpolation weights over the 7x7 fine footprint."""
+def geometric_prolongation() -> np.ndarray:
+    """Bilinear interpolation weights over the 7x7 fine footprint, indexed
+    [a + 3, b + 3] for the fine offset (a, b)."""
     offs = np.arange(-3, 4)
     w = np.maximum(0.0, 1.0 - np.abs(offs) / 3.0)
-    return Stencil(np.outer(w, w))
+    return np.outer(w, w)
 
 
 # 1D d-linear weights at fine offsets -2..2 (the +-3 weights vanish).
@@ -136,11 +102,6 @@ def prolong_values(coarse: np.ndarray) -> np.ndarray:
 def restrict_dlinear(fine: np.ndarray) -> np.ndarray:
     """Accumulating transpose of d-linear prolongation."""
     return _restrict1d(_restrict1d(fine, 0), 1)
-
-
-def inject(fine: np.ndarray) -> np.ndarray:
-    """Values of the fine field at the spatially coinciding coarse vertices."""
-    return fine[::3, ::3]
 
 
 # -- level operators --------------------------------------------------------
@@ -194,32 +155,14 @@ class ElementOperator:
         return out
 
     def diag(self) -> np.ndarray:
-        cached = getattr(self, "_diag", None)
-        if cached is not None:
-            return cached
         n = self.n
         out = np.zeros((n + 1, n + 1))
         for a, (a0, a1) in enumerate(CORNER_OFFSETS):
             out[a0 : a0 + n, a1 : a1 + n] += ELEMENT_MATRIX_UNIT[a, a] * self.eps
-        self._diag = out
         return out
 
     def table(self) -> np.ndarray:
         return assemble_stencil_table(self.eps)
-
-    def stencil_at(self, i: int, j: int) -> np.ndarray:
-        n = self.n
-        s = np.zeros((3, 3))
-        for a, (a0, a1) in enumerate(CORNER_OFFSETS):
-            ci, cj = i - a0, j - a1
-            if not (0 <= ci < n and 0 <= cj < n):
-                continue
-            eps = self.eps[ci, cj]
-            if eps == 0.0:
-                continue
-            for b, (b0, b1) in enumerate(CORNER_OFFSETS):
-                s[b0 - a0 + 1, b1 - a1 + 1] += eps * ELEMENT_MATRIX_UNIT[a, b]
-        return s
 
 
 class TableOperator:
@@ -246,9 +189,6 @@ class TableOperator:
 
     def table(self) -> np.ndarray:
         return self.tbl
-
-    def stencil_at(self, i: int, j: int) -> np.ndarray:
-        return self.tbl[i, j]
 
 
 def assemble_stencil_table(eps: np.ndarray) -> np.ndarray:
@@ -412,17 +352,11 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
     # Hanging fine targets interpolate d-linearly instead.
     if fine_kinds is not None:
         hang = _windows(fine_kinds == hanging_kind)
-        np.copyto(p, geometric_prolongation().values, where=hang)
+        np.copyto(p, geometric_prolongation(), where=hang)
 
     # Drop weights pointing outside the fine grid.
     np.copyto(p, 0.0, where=~_windows(np.ones((nf + 1, nf + 1), dtype=bool)))
     return p
-
-
-def geometric_p_table(nc: int) -> np.ndarray:
-    """Constant d-linear weights in the per-vertex table layout."""
-    base = geometric_prolongation().values
-    return np.broadcast_to(base, (nc + 1, nc + 1, 7, 7))
 
 
 # -- table-driven transfers -------------------------------------------------
@@ -516,7 +450,7 @@ def smoothed_restriction(omega: float, truncate: bool = True) -> np.ndarray:
     renormalizing.  (For the operators at hand nothing nonzero falls
     outside, so truncation removes exact zeros only.)
     """
-    r7 = geometric_prolongation().values
+    r7 = geometric_prolongation()
     a1 = interior_stencil(1.0)
     inv_diag = 3.0 / 8.0
     raw = np.zeros((9, 9))
@@ -532,22 +466,14 @@ def smoothed_restriction(omega: float, truncate: bool = True) -> np.ndarray:
     return raw[1:-1, 1:-1] if truncate else raw
 
 
-def smoothed_restriction_table(p_table: np.ndarray, omega: float,
-                               fine_table: np.ndarray | None = None,
-                               fine_diag: np.ndarray | None = None) -> np.ndarray:
+def smoothed_restriction_table(p_table: np.ndarray, omega: float) -> np.ndarray:
     """Per-vertex smoothed restriction weights.
 
     Composes the given restriction weights (transpose of p_table) with
-    A diag(A)^-1.  With fine_table None the unit-coefficient operator is
-    used, which is the default for the damping term.  Truncated to 7x7.
+    A diag(A)^-1 of the unit-coefficient operator.  Truncated to 7x7.
     """
     nc = p_table.shape[0] - 1
-    if fine_table is None:
-        a1 = interior_stencil(1.0)
-    else:
-        rows = _windows(fine_table)  # (nc+1, nc+1, 3, 3, 7, 7)
-        inv = np.where(fine_diag != 0.0, 1.0 / np.where(fine_diag == 0, 1, fine_diag), 0.0)
-        dinv = _windows(inv)
+    a1 = interior_stencil(1.0)
     out = np.zeros((nc + 1, nc + 1, 7, 7))
     for ji in range(7):
         for jj in range(7):
@@ -559,10 +485,7 @@ def smoothed_restriction_table(p_table: np.ndarray, omega: float,
                     ti, tj = ji + si - 1, jj + sj - 1
                     if not (0 <= ti < 7 and 0 <= tj < 7):
                         continue
-                    if fine_table is None:
-                        out[:, :, ti, tj] += w * (a1[si, sj] * (3.0 / 8.0))
-                    else:
-                        out[:, :, ti, tj] += w * rows[:, :, si, sj, ji, jj] * dinv[:, :, ti, tj]
+                    out[:, :, ti, tj] += w * (a1[si, sj] * (3.0 / 8.0))
     out *= omega
     return out
 
@@ -576,15 +499,18 @@ class TransferOps:
     With p_table None the geometric separable fast paths are used;
     otherwise the per-vertex weight tables.  Restriction is always the
     transpose of prolongation and accumulates (it never averages).
+
+    rtilde holds the smoothed restriction weights, a (7, 7) stencil or an
+    (nc+1, nc+1, 7, 7) table, or None when no damping equation is solved.
+    The geometric R~ is the unit-coefficient composition smoothed_restriction
+    (rtilde_omega), which restrict_smoothed evaluates as one stencil pass
+    plus a separable restriction.
     """
 
-    def __init__(self, nc: int, p_table: np.ndarray | None, rtilde: np.ndarray | None,
+    def __init__(self, p_table: np.ndarray | None, rtilde: np.ndarray | None,
                  rtilde_omega: float | None = None):
-        self.nc = nc
         self.p_table = p_table
-        self.rtilde = rtilde  # (7,7) constant or (nc+1,nc+1,7,7)
-        # set when rtilde is exactly the unit-coefficient composition, which
-        # then evaluates via one stencil pass plus a separable restriction
+        self.rtilde = rtilde
         self.rtilde_omega = rtilde_omega
         self._blocks = None if p_table is None else _p_blocks(p_table)
 
@@ -599,9 +525,7 @@ class TransferOps:
         return _contract_windows(fine, self.p_table)
 
     def restrict_smoothed(self, fine: np.ndarray) -> np.ndarray:
-        if self.rtilde is None:
-            return np.zeros((self.nc + 1, self.nc + 1))
-        if self.rtilde_omega is not None and self.p_table is None:
+        if self.p_table is None:
             smoothed = apply_constant_stencil(fine, interior_stencil(1.0))
             smoothed *= self.rtilde_omega * 3.0 / 8.0
             return restrict_dlinear(smoothed)

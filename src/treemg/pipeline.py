@@ -196,7 +196,7 @@ class PipelineEngine(ReferenceEngine):
         nv = off[-1]
         rows = {name: [()] * nv for name in ("dterms", "prow", "rrow", "chain")}
         cpar = np.full(nv, -1)
-        geo = geometric_prolongation().values
+        geo = geometric_prolongation()
         for l in range(l0, ltop + 1):
             lc, nc, span = l - 1, 3 ** (l - 1), slice(off[l], off[l + 1])
             I, J = np.divmod(np.arange(off[l + 1] - off[l]), 3**l + 1)

@@ -51,7 +51,6 @@ from .operators import (
     TransferOps,
     assemble_stencil_table,
     boxmg_prolongation,
-    geometric_p_table,
     prolong_values,
     ritz_galerkin_coarse,
     smoothed_restriction,
@@ -87,7 +86,6 @@ class SolverConfig:
     omega: float = 0.6
     omega_tilde: float | None = None  # damping-equation weight, defaults to omega
     omega_hat: float = 0.7  # base of the exponential per-level damping
-    rtilde_true_operator: bool = False  # build R~ from the true stencils
     damping_scale: float = 1.0  # testing hook: 0 reduces both adAFAC variants to additive
 
     def __post_init__(self):
@@ -225,18 +223,7 @@ class ReferenceEngine:
                 self.ops[l] = ElementOperator(eps_masked[l])
             rt = smoothed_restriction(self.cfg.omega) if want_rt else None
             for l in range(tree.lmin, self.ltop):
-                nc = 3**l
-                rtl = rt
-                fast_omega = self.cfg.omega if want_rt else None
-                if want_rt and self.cfg.rtilde_true_operator:
-                    fine_tbl = assemble_stencil_table(eps_masked[l + 1])
-                    fine_tbl *= self.masks[l + 1]["dof"][:, :, None, None]
-                    rtl = smoothed_restriction_table(
-                        geometric_p_table(nc), self.cfg.omega,
-                        fine_table=fine_tbl, fine_diag=self.ops[l + 1].diag(),
-                    )
-                    fast_omega = None
-                self.transfers[l] = TransferOps(nc, None, rtl, rtilde_omega=fast_omega)
+                self.transfers[l] = TransferOps(None, rt, rtilde_omega=self.cfg.omega)
         else:
             self.ops[self.ltop] = ElementOperator(eps_masked[self.ltop])
             raw = self.ops[self.ltop].table()
@@ -250,16 +237,8 @@ class ReferenceEngine:
                 overlap = self.masks[l]["kinds"] == VertexKind.COARSE_OVERLAPPED
                 tbl[overlap] = rap[overlap]
                 self.ops[l] = TableOperator(tbl)
-                rtl = None
-                if want_rt:
-                    if self.cfg.rtilde_true_operator:
-                        rtl = smoothed_restriction_table(
-                            p_tbl, self.cfg.omega, fine_table=masked,
-                            fine_diag=self.ops[l + 1].diag(),
-                        )
-                    else:
-                        rtl = smoothed_restriction_table(p_tbl, self.cfg.omega)
-                self.transfers[l] = TransferOps(3**l, p_tbl, rtl)
+                rtl = smoothed_restriction_table(p_tbl, self.cfg.omega) if want_rt else None
+                self.transfers[l] = TransferOps(p_tbl, rtl)
                 raw = tbl
 
         if self.cfg.variant == "multiplicative-v10":
@@ -283,14 +262,14 @@ class ReferenceEngine:
         )
 
     def _dense_interior_matrix(self, l: int) -> tuple[np.ndarray, np.ndarray]:
-        op = self.ops[l]
+        tbl = self.ops[l].table()
         dof = self.masks[l]["dof"]
         idx = np.argwhere(dof)
         m = len(idx)
         a = np.zeros((m, m))
         pos = {(int(i), int(j)): k for k, (i, j) in enumerate(idx)}
         for k, (i, j) in enumerate(idx):
-            s = op.stencil_at(int(i), int(j))
+            s = tbl[i, j]
             for a_off in range(3):
                 for b_off in range(3):
                     t = (int(i) + a_off - 1, int(j) + b_off - 1)

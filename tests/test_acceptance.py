@@ -127,6 +127,7 @@ def deep_runs():
     return data
 
 
+@pytest.mark.slow
 def test_criterion_3_additive_instability_vs_adafac_stability(deep_runs):
     """Plain additive converges with healthy contraction up to lmax = 6 and
     its performance suddenly deteriorates at lmax = 7 (contraction factor
@@ -172,6 +173,7 @@ def to_target_runs():
     return counts
 
 
+@pytest.mark.slow
 def test_criterion_4_exponential_damping_tradeoff(to_target_runs):
     """Exponentially damped additive multigrid (base 0.7) stays stable at
     lmax = 7 but needs at least 1.5x the cycles of adafac-jac to push the

@@ -168,6 +168,10 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ["--decile", "1.5"],
     ["--amr", "on", "--lmin", "3", "--lmax", "4"],
     ["--divergence", "-1"],
+    ["--setup", "foo"],
+    ["--k", "abc"],
+    ["--amr", "maybe"],
+    ["--bogus", "1"],
 ])
 def test_cli_rejects_bad_amr_and_divergence(argv, capsys):
     rc = main(argv + ["--max-cycles", "1"])
@@ -176,6 +180,13 @@ def test_cli_rejects_bad_amr_and_divergence(argv, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: ")
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--boundary-cadence" in capsys.readouterr().out
 
 
 def test_cli_unknown_key(tmp_path):

@@ -3,10 +3,9 @@ import pytest
 
 from treemg.discretization import (
     CORNER_OFFSETS,
-    assemble_vertex_stencil,
+    ELEMENT_MATRIX_UNIT,
     boundary_value,
     constant_field,
-    element_matrix,
     epsilon_at,
     epsilon_cells,
     half_domain_jump,
@@ -14,6 +13,7 @@ from treemg.discretization import (
     needle_inclusion,
     skew_checkerboard,
 )
+from treemg.operators import ElementOperator, assemble_stencil_table
 
 
 def quadrature_element_matrix(eps):
@@ -38,31 +38,30 @@ def quadrature_element_matrix(eps):
 
 
 def test_element_matrix_matches_quadrature_oracle():
-    assert np.allclose(element_matrix(1.0), quadrature_element_matrix(1.0), atol=1e-14)
+    assert np.allclose(ELEMENT_MATRIX_UNIT, quadrature_element_matrix(1.0), atol=1e-14)
+    assert np.allclose(3.7 * ELEMENT_MATRIX_UNIT, quadrature_element_matrix(3.7), atol=1e-14)
     # frozen analytic entries
-    m = element_matrix(1.0)
+    m = ELEMENT_MATRIX_UNIT
     assert m[0, 0] == pytest.approx(2.0 / 3.0)
     assert m[0, 3] == pytest.approx(-1.0 / 3.0)
     assert m[0, 1] == pytest.approx(-1.0 / 6.0)
 
 
 def test_element_matrix_scales_linearly():
-    assert np.allclose(element_matrix(10.0), 10.0 * element_matrix(1.0))
+    # the per-cell element matrices of the assembled operator scale with eps
+    rng = np.random.default_rng(13)
+    eps = rng.uniform(0.2, 2.0, size=(4, 4))
+    x = rng.standard_normal((5, 5))
+    assert np.allclose(ElementOperator(10.0 * eps).apply(x), 10.0 * ElementOperator(eps).apply(x))
+    assert np.allclose(assemble_stencil_table(10.0 * eps), 10.0 * assemble_stencil_table(eps))
 
 
 def test_element_matrix_row_sums_zero():
     for eps in (1.0, 0.3, 17.5):
-        m = element_matrix(eps)
+        m = eps * ELEMENT_MATRIX_UNIT
         assert np.abs(m.sum(axis=0)).max() < 1e-14
         assert np.abs(m.sum(axis=1)).max() < 1e-14
         assert np.allclose(m, m.T)
-
-
-def test_element_matrix_rejects_nonpositive_eps():
-    with pytest.raises(ValueError):
-        element_matrix(0.0)
-    with pytest.raises(ValueError):
-        element_matrix(-1.0)
 
 
 def test_interior_stencil_from_four_elements():
@@ -72,21 +71,23 @@ def test_interior_stencil_from_four_elements():
         for dj in (0, 1):
             own = CORNER_OFFSETS.index((1 - di, 1 - dj))
             for other, (ca, cb) in enumerate(CORNER_OFFSETS):
-                want[ca - (1 - di) + 1, cb - (1 - dj) + 1] += element_matrix(1.0)[own, other]
+                want[ca - (1 - di) + 1, cb - (1 - dj) + 1] += ELEMENT_MATRIX_UNIT[own, other]
     assert np.allclose(interior_stencil(1.0), want, atol=1e-14)
     assert np.allclose(interior_stencil(1.0), (1.0 / 3.0) * np.array(
         [[-1, -1, -1], [-1, 8, -1], [-1, -1, -1]], dtype=float))
 
 
 def test_assemble_vertex_stencil_mixed_eps():
-    # two elements eps=1 and two eps=0.1: weighted element sum oracle
+    # two elements eps=1 and two eps=0.1 around vertex (1, 1) of a 2x2 cell
+    # grid, cell (di, dj) towards offset (2*di-1, 2*dj-1): weighted element
+    # sum oracle
     eps = np.array([[1.0, 0.1], [1.0, 0.1]])
-    got = assemble_vertex_stencil(eps)
+    got = assemble_stencil_table(eps)[1, 1]
     want = np.zeros((3, 3))
     for di in (0, 1):
         for dj in (0, 1):
             own = CORNER_OFFSETS.index((1 - di, 1 - dj))
-            m = element_matrix(eps[di, dj])
+            m = eps[di, dj] * ELEMENT_MATRIX_UNIT
             for other, (ca, cb) in enumerate(CORNER_OFFSETS):
                 want[ca - (1 - di) + 1, cb - (1 - dj) + 1] += m[own, other]
     assert np.allclose(got, want, atol=1e-14)
@@ -95,7 +96,7 @@ def test_assemble_vertex_stencil_mixed_eps():
 
 def test_assemble_vertex_stencil_commutes_with_scaling():
     eps = np.full((2, 2), 3.7)
-    assert np.allclose(assemble_vertex_stencil(eps), 3.7 * interior_stencil(1.0))
+    assert np.allclose(assemble_stencil_table(eps)[1, 1], 3.7 * interior_stencil(1.0))
 
 
 def test_boundary_values():

@@ -4,14 +4,11 @@ import pytest
 from treemg.discretization import half_domain_jump, interior_stencil
 from treemg.operators import (
     ElementOperator,
-    Stencil,
     TableOperator,
     TransferOps,
     assemble_stencil_table,
     boxmg_prolongation,
-    geometric_p_table,
     geometric_prolongation,
-    inject,
     prolong_values,
     restrict_dlinear,
     ritz_galerkin_coarse,
@@ -29,33 +26,30 @@ SMOOTHED_FACE = 1.0 / 6.0
 SMOOTHED_CORNER = -1.0 / 72.0
 
 
+def geometric_p_table(nc):
+    """The d-linear weights in the per-vertex table layout."""
+    return np.broadcast_to(geometric_prolongation(), (nc + 1, nc + 1, 7, 7))
+
+
 def bilinear_function(n):
     x = np.linspace(0.0, 1.0, n + 1)[:, None]
     y = np.linspace(0.0, 1.0, n + 1)[None, :]
     return 1.5 + 0.3 * x - 1.1 * y + 0.7 * x * y
 
 
-def test_stencil_type_validation():
-    Stencil(np.zeros((3, 3)))
-    Stencil(np.zeros((7, 7)))
-    with pytest.raises(ValueError):
-        Stencil(np.zeros((5, 5)))
-    with pytest.raises(ValueError):
-        Stencil(np.zeros((3, 4)))
-
-
 def test_geometric_prolongation_weights():
     p = geometric_prolongation()
-    assert p[0, 0] == 1.0
-    assert p[1, 0] == pytest.approx(2.0 / 3.0)
-    assert p[2, 2] == pytest.approx(1.0 / 9.0)
-    assert p[3, 0] == 0.0
-    assert p[3, 3] == 0.0
+    assert p.shape == (7, 7)
+    assert p[3, 3] == 1.0
+    assert p[4, 3] == pytest.approx(2.0 / 3.0)
+    assert p[5, 5] == pytest.approx(1.0 / 9.0)
+    assert p[6, 3] == 0.0
+    assert p[6, 6] == 0.0
     # d-linear: the product of the 1D hat functions of width 3
     for a in range(-3, 4):
         for b in range(-3, 4):
             want = max(0.0, 1.0 - abs(a) / 3.0) * max(0.0, 1.0 - abs(b) / 3.0)
-            assert p[a, b] == pytest.approx(want)
+            assert p[a + 3, b + 3] == pytest.approx(want)
 
 
 def test_prolongation_exact_on_bilinear_functions():
@@ -75,11 +69,6 @@ def test_restriction_is_prolongation_transpose():
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
-def test_injection_identity_at_c_points():
-    fine = bilinear_function(9)
-    assert np.array_equal(inject(fine), fine[::3, ::3])
-
-
 def test_element_operator_matches_table_operator():
     rng = np.random.default_rng(3)
     n = 9
@@ -89,13 +78,23 @@ def test_element_operator_matches_table_operator():
     x = rng.standard_normal((n + 1, n + 1))
     assert np.allclose(op_e.apply(x), op_t.apply(x), atol=1e-13)
     assert np.allclose(op_e.diag(), op_t.diag(), atol=1e-14)
+    # table entries are the operator's couplings, probed with unit vectors
+    tbl = op_e.table()
     for i, j in ((0, 0), (1, 1), (4, 7), (9, 3)):
-        assert np.allclose(op_e.stencil_at(i, j), op_t.stencil_at(i, j), atol=1e-14)
+        for a in range(3):
+            for b in range(3):
+                ti, tj = i + a - 1, j + b - 1
+                if not (0 <= ti <= n and 0 <= tj <= n):
+                    assert tbl[i, j, a, b] == 0.0
+                    continue
+                e = np.zeros((n + 1, n + 1))
+                e[ti, tj] = 1.0
+                assert op_e.apply(e)[i, j] == pytest.approx(tbl[i, j, a, b], abs=1e-14)
 
 
 def test_element_operator_interior_stencil():
     op = ElementOperator(np.ones((3, 3)))
-    assert np.allclose(op.stencil_at(1, 1), interior_stencil(1.0), atol=1e-14)
+    assert np.allclose(op.table()[1, 1], interior_stencil(1.0), atol=1e-14)
     assert op.diag()[1, 1] == pytest.approx(8.0 / 3.0)
 
 
@@ -150,7 +149,7 @@ def test_boxmg_reproduces_constants():
     rng = np.random.default_rng(5)
     eps = rng.uniform(0.1, 3.0, size=(3 * nc, 3 * nc))
     p = boxmg_prolongation(assemble_stencil_table(eps), np.ones((nc, nc), dtype=bool))
-    ops = TransferOps(nc, p, None)
+    ops = TransferOps(p, None)
     ones = np.ones((nc + 1, nc + 1))
     fine = ops.prolong(ones)
     # rows over interior fine vertices sum to one
@@ -217,22 +216,25 @@ def test_ritz_galerkin_differs_from_rediscretization_under_jump():
 
 def test_smoothed_restriction_matches_printed_values():
     r = smoothed_restriction(1.0)
-    s = Stencil(r)
-    assert s[0, 0] == pytest.approx(SMOOTHED_CENTER, abs=5e-10)
-    assert abs(s[0, 0] - 0.444444444) < 5e-4
+
+    def s(a, b):
+        return r[a + 3, b + 3]
+
+    assert s(0, 0) == pytest.approx(SMOOTHED_CENTER, abs=5e-10)
+    assert abs(s(0, 0) - 0.444444444) < 5e-4
     for off in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        assert s[off] == pytest.approx(SMOOTHED_FACE, abs=1e-12)
-        assert abs(s[off] - 0.167) < 5e-4
+        assert s(*off) == pytest.approx(SMOOTHED_FACE, abs=1e-12)
+        assert abs(s(*off) - 0.167) < 5e-4
     for off in ((3, 3), (-3, 3), (3, -3), (-3, -3)):
-        assert s[off] == pytest.approx(SMOOTHED_CORNER, abs=1e-12)
-        assert abs(s[off] - (-0.0139)) < 5e-5
+        assert s(*off) == pytest.approx(SMOOTHED_CORNER, abs=1e-12)
+        assert abs(s(*off) - (-0.0139)) < 5e-5
     # remaining printed pattern along the centre row/edge
-    assert s[2, 0] == pytest.approx(0.0833, abs=5e-5)
-    assert s[3, 0] == pytest.approx(-0.0972, abs=5e-5)
-    assert s[3, 1] == pytest.approx(-0.0833, abs=5e-5)
-    assert s[3, 2] == pytest.approx(-0.0417, abs=5e-5)
-    assert abs(s[1, 1]) < 1e-15
-    assert abs(s[2, 1]) < 1e-15
+    assert s(2, 0) == pytest.approx(0.0833, abs=5e-5)
+    assert s(3, 0) == pytest.approx(-0.0972, abs=5e-5)
+    assert s(3, 1) == pytest.approx(-0.0833, abs=5e-5)
+    assert s(3, 2) == pytest.approx(-0.0417, abs=5e-5)
+    assert abs(s(1, 1)) < 1e-15
+    assert abs(s(2, 1)) < 1e-15
 
 
 def test_smoothed_restriction_truncation_drops_only_outer_ring():
@@ -267,8 +269,8 @@ def test_transfer_ops_geometric_and_table_paths_agree():
     nc = 3
     coarse = rng.standard_normal((nc + 1, nc + 1))
     fine = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
-    geo = TransferOps(nc, None, None)
-    tab = TransferOps(nc, np.ascontiguousarray(geometric_p_table(nc)), None)
+    geo = TransferOps(None, None)
+    tab = TransferOps(np.ascontiguousarray(geometric_p_table(nc)), None)
     assert np.allclose(geo.prolong(coarse), tab.prolong(coarse), atol=1e-13)
     assert np.allclose(geo.restrict(fine), tab.restrict(fine), atol=1e-13)
 
@@ -277,8 +279,7 @@ def test_transfer_ops_geometric_and_table_paths_agree():
 
 
 def boxmg_level(nc, partial):
-    """BoxMG P from a half-jump tree, its raw fine table, dof mask and
-    fine vertex kinds.
+    """BoxMG P from a half-jump tree and the fine vertex kinds.
 
     With partial set only some coarse cells are refined, so the fine level
     has hanging vertices whose P weights are the d-linear ones.
@@ -293,7 +294,7 @@ def boxmg_level(nc, partial):
     raw = assemble_stencil_table(tree.eps[l + 1] * tree.cells_exist(l + 1))
     refined = tree.refined[l] & tree.cells_exist(l)
     p = boxmg_prolongation(raw, refined, kinds, VertexKind.HANGING)
-    return p, raw, tree.dof_mask(l + 1), kinds
+    return p, kinds
 
 
 def contract_by_definition(table, fine):
@@ -313,18 +314,18 @@ def contract_by_definition(table, fine):
 
 @pytest.mark.parametrize("nc, partial", [(1, False), (3, False), (9, False), (3, True), (9, True)])
 def test_table_prolong_of_unit_vectors_reproduces_weights(nc, partial):
-    p, _, _, kinds = boxmg_level(nc, partial)
+    p, kinds = boxmg_level(nc, partial)
     # weights towards fine vertices outside the grid are dropped up front
     assert np.abs(p[~in_range_mask(nc)]).max() == 0.0
     # weights towards hanging fine vertices are the d-linear ones
-    geo = geometric_prolongation().values
+    geo = geometric_prolongation()
     hanging = 0
     for vi, vj, a, b in np.argwhere(in_range_mask(nc)):
         if kinds[3 * vi + a - 3, 3 * vj + b - 3] == VertexKind.HANGING:
             assert p[vi, vj, a, b] == geo[a, b]
             hanging += 1
     assert (hanging > 0) == partial
-    ops = TransferOps(nc, p, None)
+    ops = TransferOps(p, None)
     padded = np.zeros((3 * nc + 7, 3 * nc + 7))
     for vi in range(nc + 1):
         for vj in range(nc + 1):
@@ -339,7 +340,7 @@ def test_table_prolong_of_unit_vectors_reproduces_weights(nc, partial):
 def test_table_restrict_is_prolong_transpose(partial):
     rng = np.random.default_rng(23)
     nc = 9
-    ops = TransferOps(nc, boxmg_level(nc, partial)[0], None)
+    ops = TransferOps(boxmg_level(nc, partial)[0], None)
     c = rng.standard_normal((nc + 1, nc + 1))
     f = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
     lhs = float((ops.prolong(c) * f).sum())
@@ -351,68 +352,59 @@ def test_table_restrict_is_prolong_transpose(partial):
 def test_table_restrict_smoothed_reads_the_table():
     rng = np.random.default_rng(29)
     nc = 9
-    p, raw, dof, _ = boxmg_level(nc, partial=True)
-    masked = raw * dof[:, :, None, None]
-    diag = TableOperator(raw).diag()
+    p = boxmg_level(nc, partial=True)[0]
     f = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
-    unit = smoothed_restriction_table(p, 0.6)
-    true = smoothed_restriction_table(p, 0.6, fine_table=masked, fine_diag=diag)
-    assert np.abs(unit - true).max() > 1e-3
-    for rt in (unit, true):
-        got = TransferOps(nc, p, rt).restrict_smoothed(f)
-        assert np.allclose(got, contract_by_definition(rt, f), atol=1e-13)
+    rt = smoothed_restriction_table(p, 0.6)
+    got = TransferOps(p, rt).restrict_smoothed(f)
+    assert np.allclose(got, contract_by_definition(rt, f), atol=1e-13)
     # one constant stencil for every vertex
     const = smoothed_restriction(0.6)
-    got = TransferOps(nc, p, const).restrict_smoothed(f)
+    got = TransferOps(p, const).restrict_smoothed(f)
     want = contract_by_definition(np.broadcast_to(const, (nc + 1, nc + 1, 7, 7)), f)
     assert np.allclose(got, want, atol=1e-13)
 
 
-def smoothed_table_by_definition(p, omega, fine_table=None, fine_diag=None):
-    """R~[v, j + s] = omega * sum_j p[v, j] A[3v + j, s] / diag(A)[3v + j + s],
-    one vertex at a time, sources j in lexicographic order, truncated to
-    the 7x7 offsets; the unit-coefficient operator when fine_table is None."""
+def test_geometric_restrict_smoothed_matches_constant_stencil():
+    rng = np.random.default_rng(31)
+    nc = 9
+    f = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
+    const = smoothed_restriction(0.6)
+    got = TransferOps(None, const, rtilde_omega=0.6).restrict_smoothed(f)
+    want = contract_by_definition(np.broadcast_to(const, (nc + 1, nc + 1, 7, 7)), f)
+    # border vertices differ: the separable path drops R's sources outside
+    # the grid, the stencil keeps them; no border vertex carries an equation
+    assert np.allclose(got[1:-1, 1:-1], want[1:-1, 1:-1], atol=1e-13)
+
+
+def smoothed_table_by_definition(p, omega):
+    """R~[v, j + s] = omega * sum_j p[v, j] A1[s] / diag(A1) for the
+    unit-coefficient operator A1, one vertex at a time, sources j in
+    lexicographic order, truncated to the 7x7 offsets."""
     nc = p.shape[0] - 1
-    nf = 3 * nc
     a1 = interior_stencil(1.0)
     out = np.zeros((nc + 1, nc + 1, 7, 7))
     for vi in range(nc + 1):
         for vj in range(nc + 1):
             for ji in range(-3, 4):
                 for jj in range(-3, 4):
-                    fi, fj = 3 * vi + ji, 3 * vj + jj
-                    if fine_table is not None and not (0 <= fi <= nf and 0 <= fj <= nf):
-                        continue
                     for si in range(3):
                         for sj in range(3):
                             ti, tj = ji + si - 1, jj + sj - 1
                             if not (-3 <= ti <= 3 and -3 <= tj <= 3):
                                 continue
                             w = p[vi, vj, ji + 3, jj + 3]
-                            if fine_table is None:
-                                out[vi, vj, ti + 3, tj + 3] += w * (a1[si, sj] * (3.0 / 8.0))
-                                continue
-                            gi, gj = fi + si - 1, fj + sj - 1
-                            inside = 0 <= gi <= nf and 0 <= gj <= nf
-                            d = fine_diag[gi, gj] if inside else 0.0
-                            dinv = 1.0 / d if d != 0.0 else 0.0
-                            out[vi, vj, ti + 3, tj + 3] += w * fine_table[fi, fj, si, sj] * dinv
+                            out[vi, vj, ti + 3, tj + 3] += w * (a1[si, sj] * (3.0 / 8.0))
     return out * omega
 
 
 @pytest.mark.parametrize("flavor", ["geometric", "boxmg"])
 def test_smoothed_restriction_table_matches_per_vertex_composition(flavor):
     nc = 9
-    p, raw, dof, _ = boxmg_level(nc, partial=True)
+    p = boxmg_level(nc, partial=True)[0]
     if flavor == "geometric":
         p = geometric_p_table(nc)
-    masked = raw * dof[:, :, None, None]
-    diag = TableOperator(raw).diag()
     assert np.array_equal(smoothed_restriction_table(p, 0.6),
                           smoothed_table_by_definition(p, 0.6))
-    assert np.array_equal(
-        smoothed_restriction_table(p, 0.6, fine_table=masked, fine_diag=diag),
-        smoothed_table_by_definition(p, 0.6, fine_table=masked, fine_diag=diag))
 
 
 def test_probed_ritz_galerkin_matches_dense_oracle():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from treemg.discretization import constant_field, half_domain_jump, needle_inclusion, skew_checkerboard
-from treemg.operators import assemble_stencil_table, boxmg_prolongation, geometric_p_table, ritz_galerkin_coarse
+from treemg.operators import assemble_stencil_table, boxmg_prolongation, ritz_galerkin_coarse
 from treemg.oracle import (
     DenseLevel,
     assemble_dense,

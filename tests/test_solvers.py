@@ -274,21 +274,6 @@ def test_multiplicative_requires_two_levels():
         make_engine(3, variant="multiplicative-v10")
 
 
-def test_rtilde_true_operator_option():
-    # damping built from the true stencils instead of the unit-coefficient
-    # ones: still converges, but produces a different iterate under jumps
-    field = half_domain_jump(2)
-    iterates = {}
-    for flag in (False, True):
-        tree, eng = make_engine(3, field=field, variant="adafac-jac",
-                                rtilde_true_operator=flag)
-        for _ in range(12):
-            stats = eng.advance()
-        iterates[flag] = (tree.u[3].copy(), stats.l2h)
-    assert iterates[False][1] < 1.0 and iterates[True][1] < 1.0
-    assert np.abs(iterates[False][0] - iterates[True][0]).max() > 1e-10
-
-
 def test_omega_tilde_zero_matches_scaled_damping():
     # omega_tilde scales the damping equation only
     tree_a, eng_a = make_engine(3, variant="adafac-jac", omega_tilde=0.3)
