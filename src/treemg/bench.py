@@ -87,7 +87,7 @@ class ExperimentConfig:
         if self.engine == "pipelined" and self.variant not in PIPELINE_VARIANTS:
             raise ConfigError(
                 f"engine 'pipelined' supports variants {PIPELINE_VARIANTS}, got {self.variant!r}")
-        if self.target <= 0.0:
+        if not self.target > 0.0:
             raise ConfigError(f"target must be positive, got {self.target}")
         if self.max_cycles < 0:
             raise ConfigError(f"max_cycles must be non-negative, got {self.max_cycles}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .bench import EXIT_CONFIG_ERROR, ConfigError, ExperimentConfig, run, write_csv
 
@@ -80,7 +81,10 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
-    values = read_config_file(args.config) if args.config else {}
+    try:
+        values = read_config_file(args.config) if args.config else {}
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {args.config!r}: {exc.strerror}") from exc
     for key in _FIELDS:
         got = getattr(args, key)
         if got is not None:
@@ -93,15 +97,14 @@ def config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
 def main(argv=None) -> int:
     try:
         cfg = config_from_sources(parse_args(argv))
-    except (ConfigError, TypeError) as exc:
+        # opened before the solve, so that a bad path costs no run
+        out = open(cfg.out, "w") if cfg.out else nullcontext(sys.stdout)
+    except (ConfigError, TypeError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     result = run(cfg)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            write_csv(result, fh)
-    else:
-        write_csv(result, sys.stdout)
+    with out as fh:
+        write_csv(result, fh)
     return result.status
 
 

@@ -1,7 +1,12 @@
 """Inter-grid transfer operators and coarse-grid stencils.
 
 Two flavours exist.  The geometric flavour uses d-linear prolongation with
-its transpose as restriction and rediscretized coarse stencils.  The
+its transpose as restriction and rediscretized coarse stencils.  One 1D
+weight vector (_W, the weights at fine offsets -2..2) defines d-linear
+interpolation everywhere: the separable kernel _dlinear1d applies it, up
+for P and down for R = P^T weight for weight, and its outer product is the
+7x7 geometric_prolongation that the smoothed restriction, the boxmg
+hanging-vertex weights and the pipelined engine read.  The
 operator-dependent flavour builds prolongation weights per coarse vertex by
 collapsing the fine stencils along coarse cell faces (identity on c-points,
 lumped 1D solves on face points, exact local solves on interior points),
@@ -21,9 +26,10 @@ Array convention: vertex fields of a level with n cells per axis are
 table[i, j, a, b] the weight between coarse vertex (i, j) and fine vertex
 (3i+a-3, 3j+b-3).
 
-The table transfers work on whole levels.  Restriction, by P or by the
-smoothed R~, contracts the table with a view of the 7x7 windows at stride
-3 of the fine field zero-padded by 3.  Prolongation splits each offset as
+The table transfers work on whole levels.  Restriction by a P table, and
+the smoothed R~ of both flavours (one 7x7 stencil for the geometric one),
+contract the table with a view of the 7x7 windows at stride 3 of the fine
+field zero-padded by 3.  Prolongation splits each offset as
 o+3 = 3q + r (q, r in 0..2): fine vertex 3v+o is entry r of block v+q of
 the fine field padded by 3 and viewed as (nc+3, 3, nc+3, 3).  The 3x3
 blocks of P that hold a nonzero weight (the four with q in {0, 1}, as P
@@ -53,55 +59,44 @@ __all__ = [
 ]
 
 
+# 1D d-linear weights at fine offsets -2..2 (the +-3 weights vanish); the
+# one definition of d-linear interpolation and its transpose.
+_W = np.array([1, 2, 3, 2, 1]) / 3.0
+
+
 def geometric_prolongation() -> np.ndarray:
     """Bilinear interpolation weights over the 7x7 fine footprint, indexed
     [a + 3, b + 3] for the fine offset (a, b)."""
-    offs = np.arange(-3, 4)
-    w = np.maximum(0.0, 1.0 - np.abs(offs) / 3.0)
+    w = np.concatenate(([0.0], _W, [0.0]))
     return np.outer(w, w)
 
 
-# 1D d-linear weights at fine offsets -2..2 (the +-3 weights vanish).
-_W5 = np.array([1.0, 2.0, 3.0, 2.0, 1.0]) / 3.0
-
-
-def _prolong1d(arr: np.ndarray, axis: int) -> np.ndarray:
-    """d-linear refinement of one axis, coarse (m+1) -> fine (3m+1)."""
+def _dlinear1d(arr: np.ndarray, axis: int, up: bool) -> np.ndarray:
+    """d-linear transfer along one axis: with up, coarse (m+1) -> fine
+    (3m+1), out[3c+o] += w_o arr[c]; otherwise its transpose, fine ->
+    coarse, out[c] += w_o arr[3c+o].  Targets outside the grid are dropped."""
     arr = np.moveaxis(arr, axis, 0)
-    m = arr.shape[0] - 1
-    nf = 3 * m
-    q, r = np.divmod(np.arange(nf + 1), 3)
-    qn = np.minimum(q + 1, m)
-    wl = 1.0 - r / 3.0
-    shape = (nf + 1,) + arr.shape[1:]
-    out = np.empty(shape)
-    out[:] = wl.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr[q]
-    out += (1.0 - wl).reshape((-1,) + (1,) * (arr.ndim - 1)) * arr[qn]
-    return np.moveaxis(out, 0, axis)
-
-
-def _restrict1d(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of d-linear refinement along one axis, fine -> coarse."""
-    arr = np.moveaxis(arr, axis, 0)
-    nf = arr.shape[0] - 1
-    m = nf // 3
-    out = np.zeros((m + 1,) + arr.shape[1:])
-    for off, w in zip(range(-2, 3), _W5):
+    m = arr.shape[0] - 1 if up else (arr.shape[0] - 1) // 3
+    out = np.zeros((3 * m + 1 if up else m + 1,) + arr.shape[1:])
+    for off, w in zip(range(-2, 3), _W):
         lo = (max(0, -off) + 2) // 3
         hi = m - (max(0, off) + 2) // 3
-        idx = 3 * np.arange(lo, hi + 1) + off
-        out[lo : hi + 1] += w * arr[idx]
+        coarse, fine = slice(lo, hi + 1), slice(3 * lo + off, 3 * hi + off + 1, 3)
+        if up:
+            out[fine] += w * arr[coarse]
+        else:
+            out[coarse] += w * arr[fine]
     return np.moveaxis(out, 0, axis)
 
 
 def prolong_values(coarse: np.ndarray) -> np.ndarray:
     """d-linear interpolation of a coarse vertex field to the next level."""
-    return _prolong1d(_prolong1d(coarse, 0), 1)
+    return _dlinear1d(_dlinear1d(coarse, 0, True), 1, True)
 
 
 def restrict_dlinear(fine: np.ndarray) -> np.ndarray:
     """Accumulating transpose of d-linear prolongation."""
-    return _restrict1d(_restrict1d(fine, 0), 1)
+    return _dlinear1d(_dlinear1d(fine, 0, False), 1, False)
 
 
 # -- level operators --------------------------------------------------------
@@ -496,22 +491,20 @@ def smoothed_restriction_table(p_table: np.ndarray, omega: float) -> np.ndarray:
 class TransferOps:
     """Transfer operators between one coarse level and the next finer one.
 
-    With p_table None the geometric separable fast paths are used;
-    otherwise the per-vertex weight tables.  Restriction is always the
-    transpose of prolongation and accumulates (it never averages).
+    With p_table None, prolongation and restriction are the separable
+    d-linear kernels; otherwise the per-vertex weight tables.  Restriction
+    is always the transpose of prolongation and accumulates (it never
+    averages).
 
-    rtilde holds the smoothed restriction weights, a (7, 7) stencil or an
-    (nc+1, nc+1, 7, 7) table, or None when no damping equation is solved.
-    The geometric R~ is the unit-coefficient composition smoothed_restriction
-    (rtilde_omega), which restrict_smoothed evaluates as one stencil pass
-    plus a separable restriction.
+    rtilde holds the smoothed restriction weights, a (7, 7) stencil (the
+    geometric smoothed_restriction) or an (nc+1, nc+1, 7, 7) table, or None
+    when no damping equation is solved; restrict_smoothed contracts it with
+    the 7x7 windows of the fine field for both flavours.
     """
 
-    def __init__(self, p_table: np.ndarray | None, rtilde: np.ndarray | None,
-                 rtilde_omega: float | None = None):
+    def __init__(self, p_table: np.ndarray | None, rtilde: np.ndarray | None):
         self.p_table = p_table
         self.rtilde = rtilde
-        self.rtilde_omega = rtilde_omega
         self._blocks = None if p_table is None else _p_blocks(p_table)
 
     def prolong(self, coarse: np.ndarray) -> np.ndarray:
@@ -525,8 +518,4 @@ class TransferOps:
         return _contract_windows(fine, self.p_table)
 
     def restrict_smoothed(self, fine: np.ndarray) -> np.ndarray:
-        if self.p_table is None:
-            smoothed = apply_constant_stencil(fine, interior_stencil(1.0))
-            smoothed *= self.rtilde_omega * 3.0 / 8.0
-            return restrict_dlinear(smoothed)
         return _contract_windows(fine, self.rtilde)

@@ -202,14 +202,15 @@ class PipelineEngine(ReferenceEngine):
             I, J = np.divmod(np.arange(off[l + 1] - off[l]), 3**l + 1)
             qi, ri = np.divmod(I, 3)
             qj, rj = np.divmod(J, 3)
-            wi, wj = 1.0 - ri / 3.0, 1.0 - rj / 3.0
+            # parent corners (qi, qj) .. (qi + 1, qj + 1), the fine vertex at
+            # offset (ri, rj) from the first and r - 3 from the farther ones
             terms = np.stack([ri >= 0, ri > 0, rj > 0, (ri > 0) & (rj > 0)], axis=1)
             rows["dterms"][span] = _ragged(
                 terms & hanging[span, None],
                 np.stack([ids(lc, qi, qj), ids(lc, qi + 1, qj), ids(lc, qi, qj + 1),
                           ids(lc, qi + 1, qj + 1)], axis=1),
-                np.stack([wi * wj, (1.0 - wi) * wj, wi * (1.0 - wj),
-                          (1.0 - wi) * (1.0 - wj)], axis=1))
+                np.stack([geo[ri + 3, rj + 3], geo[ri, rj + 3], geo[ri + 3, rj],
+                          geo[ri, rj]], axis=1))
             if l > l0:
                 tr = self.transfers[lc]
                 ci = np.maximum(0, (I - 1) // 3)[:, None] + np.repeat(np.arange(3), 3)

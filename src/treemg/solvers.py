@@ -223,7 +223,7 @@ class ReferenceEngine:
                 self.ops[l] = ElementOperator(eps_masked[l])
             rt = smoothed_restriction(self.cfg.omega) if want_rt else None
             for l in range(tree.lmin, self.ltop):
-                self.transfers[l] = TransferOps(None, rt, rtilde_omega=self.cfg.omega)
+                self.transfers[l] = TransferOps(None, rt)
         else:
             self.ops[self.ltop] = ElementOperator(eps_masked[self.ltop])
             raw = self.ops[self.ltop].table()

@@ -172,6 +172,9 @@ def test_cli_rejects_bad_config(tmp_path, capsys):
     ["--k", "abc"],
     ["--amr", "maybe"],
     ["--bogus", "1"],
+    ["--config", "/nonexistent.cfg"],
+    ["--out", "/nonexistent/dir/x.csv"],
+    ["--target", "nan"],
 ])
 def test_cli_rejects_bad_amr_and_divergence(argv, capsys):
     rc = main(argv + ["--max-cycles", "1"])

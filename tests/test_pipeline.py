@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from treemg.discretization import constant_field, half_domain_jump
+from treemg.operators import geometric_prolongation
 from treemg.pipeline import PipelineEngine, sweep_count_for_cycles
 from treemg.solvers import ReferenceEngine, SolverConfig
-from treemg.spacetree import LEX_CHILD_ORDER, build_regular
+from treemg.spacetree import LEX_CHILD_ORDER, VertexKind, build_regular
 
 
 def paired_engines(levels, variant, field=None, seed=1, **cfg_kw):
@@ -195,3 +196,26 @@ def test_equivalence_on_graded_mesh(graded, variant, flavor):
             diff = np.abs(pipe.last_snapshot[l] - prev[l])[mask].max()
             assert diff <= 1e-12, f"cycle {k} level {l}: {diff}"
         prev = {l: ref.tree.u[l].copy() for l in levels}
+
+
+def test_hanging_weights_are_the_dlinear_products(graded):
+    """Each hanging vertex reads the coarse vertices around it with the
+    weights of geometric_prolongation at its offsets from them, bit for
+    bit, the zero weights skipped."""
+    pipe = PipelineEngine(graded, SolverConfig(variant="adafac-jac"))
+    plan = pipe._compile()
+    geo = geometric_prolongation()
+    off = plan.offsets
+    checked = 0
+    for l in range(graded.lmin + 1, pipe.ltop + 1):
+        for i, j in np.argwhere(pipe.masks[l]["kinds"] == VertexKind.HANGING):
+            want = {}
+            for ci in (i // 3, i // 3 + 1):
+                for cj in (j // 3, j // 3 + 1):
+                    w = geo[i - 3 * ci + 3, j - 3 * cj + 3]
+                    if w != 0.0:
+                        want[off[l - 1] + ci * (3 ** (l - 1) + 1) + cj] = w
+            got = dict(plan.dterms[off[l] + i * (3**l + 1) + j])
+            assert got == want, (l, i, j)
+            checked += 1
+    assert checked > 0
