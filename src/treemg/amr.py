@@ -38,11 +38,14 @@ __all__ = [
 ]
 
 
+# histogram bins of the curvature marking
+BINS = 64
+
+
 @dataclass(frozen=True)
 class RefinePolicy:
     boundary_cadence: int = 2
     decile: float = 0.10
-    bins: int = 64
 
     def __post_init__(self):
         if not 0.0 < self.decile < 1.0:
@@ -129,12 +132,12 @@ def mark_curvature(tree: Spacetree, policy: RefinePolicy = RefinePolicy()) -> li
     allvals = np.concatenate(values) if values else np.empty(0)
     if allvals.size == 0:
         return marks
-    edges = np.linspace(0.0, float(allvals.max()), policy.bins + 1)
+    edges = np.linspace(0.0, float(allvals.max()), BINS + 1)
     counts, _ = np.histogram(allvals, bins=edges)
     want = policy.decile * total
     cum = 0
-    cut_bin = policy.bins - 1
-    for b in range(policy.bins - 1, -1, -1):
+    cut_bin = BINS - 1
+    for b in range(BINS - 1, -1, -1):
         cum += counts[b]
         cut_bin = b
         if cum >= want:

@@ -15,6 +15,7 @@ equations likewise on the levels where the variant computes them.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass, field as dc_field
 
 from .amr import RefinePolicy, apply_refinement, cells_for_vertices, mark_boundary, mark_curvature
@@ -48,9 +49,18 @@ EXIT_CONFIG_ERROR = 1
 EXIT_MAX_CYCLES = 2
 EXIT_DIVERGED = 3
 
+# estimated peak memory per finest-level vertex: every level stores full
+# arrays, and half-jump runs measured about 100 B at lmax 5 to 7
+BYTES_PER_FINEST_VERTEX = 128
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory of the host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass
@@ -82,6 +92,13 @@ class ExperimentConfig:
             raise ConfigError(f"lmin must be at least 1, got {self.lmin}")
         if self.lmax < self.lmin:
             raise ConfigError(f"lmax must be at least lmin, got {self.lmax}")
+        # lmax capped at 40, far beyond any host, so the estimate stays a float
+        need = BYTES_PER_FINEST_VERTEX * (3 ** min(self.lmax, 40) + 1) ** 2
+        have = physical_memory()
+        if need > have:
+            raise ConfigError(
+                f"lmax {self.lmax} needs about {need / 2**30:.3g} GiB, more than the "
+                f"{have / 2**30:.3g} GiB of physical memory")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.engine == "pipelined" and self.variant not in PIPELINE_VARIANTS:

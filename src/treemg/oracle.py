@@ -226,11 +226,6 @@ class DenseHierarchy:
     def fine(self) -> DenseLevel:
         return self.levels[self.lmax]
 
-    def restrict_chain(self, vec: np.ndarray, to_level: int) -> np.ndarray:
-        for l in range(self.lmax - 1, to_level - 1, -1):
-            vec = self.p[l].T @ vec
-        return vec
-
     def prolong_chain(self, vec: np.ndarray, from_level: int) -> np.ndarray:
         for l in range(from_level, self.lmax):
             vec = self.p[l] @ vec

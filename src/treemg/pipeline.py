@@ -4,21 +4,21 @@ One depth-first sweep of the spacetree realizes one additive cycle by
 offsetting update application half a sweep: during the descent a vertex
 consumes what the previous sweep bookmarked (prolonged coarse corrections,
 its own damping, injected finer-level updates) and resets its
-right-hand-side accumulators; two element matrix-vector products
-accumulate while cells are entered (the full operator image and the part
-contributed by refined cells, whose difference at the last touch is the
-local share of the correction-consistent right-hand side); when a vertex
-is touched for the last time all restrictions from finer levels have
-arrived, so it computes its Jacobi update, applies and bookmarks it, and
-restricts its residual to the parent level.  n cycles therefore cost
+right-hand-side accumulators; one element matrix-vector product per leaf
+cell accumulates while the cell is entered (refined cells carry no
+arithmetic: a level's residual is its leaf-cell residual plus the
+restricted finer one); when a vertex is touched for the last time all
+restrictions from finer levels have arrived, so it computes its residual
+and Jacobi update, applies and bookmarks the update, and restricts the
+residual to the parent level.  n cycles therefore cost
 n + 1 sweeps: the kick-off sweep only computes, the following sweeps both
 apply and compute.
 
 Bookmark layout per vertex: sl (own update), stl (own damping term), sc
 (prolongation carry), sf (injected sum of finer updates), b and bt
-(restricted right-hand sides; bt double-buffered), and for the
-injection-damped variant a double-buffered field tco of injected c-point
-updates.
+(restricted right-hand sides; bt double-buffered), au (the leaf-cell
+mat-vec), and for the injection-damped variant a double-buffered field tco
+of injected c-point updates.
 
 Where the half-sweep schedule leaves room for interpretation, the binding
 requirement is iterate equality with the level-by-level reference engine:
@@ -40,7 +40,7 @@ The traversal is compiled once per mesh, at the first sweep after
 rebuild(): ``traverse`` yields the event stream, and numpy turns it into
 flat rows per vertex id (kind, diagonal, h-weight, d-linear parent terms,
 prolongation/scatter and R~ rows, damping chain, c-point parent) and per
-cell (corners, element split, material).  A sweep is one loop over the
+leaf cell (corners, material).  A sweep is one loop over the
 stream on Python lists, with every arithmetic expression in the order of
 the definitions above.
 
@@ -56,7 +56,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .discretization import CORNER_OFFSETS, ELEMENT_MATRIX_UNIT
+from .discretization import ELEMENT_MATRIX_UNIT
 from .operators import geometric_prolongation
 from .solvers import PIPELINE_VARIANTS, ReferenceEngine, SolverConfig
 from .spacetree import (
@@ -73,10 +73,9 @@ from .spacetree import (
 
 __all__ = ["PipelineEngine", "sweep_count_for_cycles"]
 
-HELPERS = ("sl", "stl", "sc", "sf", "b", "bt_r", "bt_w", "acc_au", "acc_ar",
-           "tco_r", "tco_w")
+HELPERS = ("sl", "stl", "sc", "sf", "b", "bt_r", "bt_w", "acc_au", "tco_r", "tco_w")
 
-# event codes of a compiled sweep: enter a cell; first touch of a hanging,
+# event codes of a compiled sweep: enter a leaf cell; first touch of a hanging,
 # Dirichlet, undamped or damped equation vertex; last touch of a vertex
 # without equation, a hanging, a composite or a coarse-overlapped vertex
 (ENTER, FIRST_HANGING, FIRST_DIRICHLET, FIRST_DOF, FIRST_DAMPED,
@@ -171,7 +170,7 @@ class PipelineEngine(ReferenceEngine):
                           kind == VertexKind.COARSE_OVERLAPPED],
                          [LAST_HANGING, LAST_COMPOSITE, LAST_OVERLAPPED], LAST_NONE)
         # the stream without cells and vertices below lmin, which a sweep
-        # leaves alone
+        # leaves alone, and without refined cells, which carry no arithmetic
         cell = plan.event_kind == ENTER_CELL
         ev, vid = plan.event_id, plan.event_id[~cell]
         code = np.full(len(ev), ENTER)
@@ -179,6 +178,7 @@ class PipelineEngine(ReferenceEngine):
         ev_level = np.empty_like(ev)
         ev_level[~cell], ev_level[cell] = level[vid], plan.cell_level[ev[cell]]
         keep = ev_level >= l0
+        keep[cell] &= ~plan.cell_refined[ev[cell]]
         return SimpleNamespace(
             stream=list(zip(code[keep].tolist(), ev[keep].tolist())), offsets=off,
             cells=self._cell_rows(plan), diag=per_vertex(self.diag, 1.0).tolist(),
@@ -244,33 +244,16 @@ class PipelineEngine(ReferenceEngine):
         return rows
 
     def _cell_rows(self, plan: TraversalPlan) -> list:
-        """Per cell of lmin and finer: its corners, the rows of its share of
-        the stored stencil (None for an element operator, which is eps
-        times the unit element matrix), its material sample and whether it
-        is refined."""
+        """Per leaf cell of lmin and finer: its corners and its material
+        sample, which scales the unit element matrix."""
         cells = [None] * len(plan.cell_level)
-        co = np.array(CORNER_OFFSETS)
         for l in range(self.tree.lmin, self.ltop + 1):
-            idx = np.flatnonzero(plan.cell_level == l)
+            idx = np.flatnonzero((plan.cell_level == l) & ~plan.cell_refined)
             corners = plan.cell_corners[idx]
             ci, cj = np.divmod(corners[:, 0] - plan.offsets[l], 3**l + 1)
-            rows = [None] * len(idx)
-            if not hasattr(self.ops[l], "eps"):
-                # a coupling of corners a and b is shared by every existing
-                # cell that contains both
-                ai, aj = ci[:, None, None] + co[:, None, 0], cj[:, None, None] + co[:, None, 1]
-                bi, bj = ci[:, None, None] + co[None, :, 0], cj[:, None, None] + co[None, :, 1]
-                exists = np.pad(self.tree.cells_exist(l), 1)
-                lo_i, hi_i = np.minimum(ai, bi), np.maximum(ai, bi)
-                lo_j, hi_j = np.minimum(aj, bj), np.maximum(aj, bj)
-                shares = sum(exists[hi_i + p, hi_j + q] & (hi_i + p <= lo_i + 1)
-                             & (hi_j + q <= lo_j + 1) for p in (0, 1) for q in (0, 1))
-                tbl = self.ops[l].table()[ai, aj, bi - ai + 1, bj - aj + 1]
-                rows = (tbl / shares.astype(float)).tolist()
-            for k, c, r, e, f in zip(idx.tolist(), corners.tolist(), rows,
-                                     self.eff_eps[l][ci, cj].tolist(),
-                                     plan.cell_refined[idx].tolist()):
-                cells[k] = (c, r, e, f)
+            cells_l = zip(corners.tolist(), self.eff_eps[l][ci, cj].tolist())
+            for k, row in zip(idx.tolist(), cells_l):
+                cells[k] = row
         return cells
 
     # -- sweep ---------------------------------------------------------------
@@ -300,7 +283,7 @@ class PipelineEngine(ReferenceEngine):
         u = np.concatenate([tree.u[l].ravel() for l in range(ltop + 1)]).tolist()
         h = dict(zip(HELPERS, self._store.tolist()))
         sl, stlv, sc, sf, b = h["sl"], h["stl"], h["sc"], h["sf"], h["b"]
-        btr, btw, au, ar = h["bt_r"], h["bt_w"], h["acc_au"], h["acc_ar"]
+        btr, btw, au = h["bt_r"], h["bt_w"], h["acc_au"]
         tcor, tcow = h["tco_r"], h["tco_w"]
         snap = list(u) if capture_iterate else None
         counters = TraversalCounters({}, {}) if count_touches else None
@@ -308,19 +291,10 @@ class PipelineEngine(ReferenceEngine):
 
         for code, x in plan.stream:
             if code == ENTER:
-                corners, rows, eps, refined = cells[x]
+                corners, eps = cells[x]
                 u0, u1, u2, u3 = u[corners[0]], u[corners[1]], u[corners[2]], u[corners[3]]
-                if rows is None:
-                    for va, (e0, e1, e2, e3) in zip(corners, E1):
-                        acc = eps * (e0 * u0 + e1 * u1 + e2 * u2 + e3 * u3)
-                        au[va] += acc
-                        if refined:
-                            ar[va] += acc
-                else:
-                    for va, (m0, m1, m2, m3), (e0, e1, e2, e3) in zip(corners, rows, E1):
-                        au[va] += m0 * u0 + m1 * u1 + m2 * u2 + m3 * u3
-                        if refined:
-                            ar[va] += eps * (e0 * u0 + e1 * u1 + e2 * u2 + e3 * u3)
+                for va, (e0, e1, e2, e3) in zip(corners, E1):
+                    au[va] += eps * (e0 * u0 + e1 * u1 + e2 * u2 + e3 * u3)
                 continue
             if code <= FIRST_DAMPED:
                 if code == FIRST_DIRICHLET:
@@ -354,7 +328,7 @@ class PipelineEngine(ReferenceEngine):
                         for s in chain[x]:
                             damp += dsw * btr[s] / diag[s] if jac else ds * tcor[s]
                         u[x] += sf[x] - damp
-                sf[x] = b[x] = au[x] = ar[x] = 0.0
+                sf[x] = b[x] = au[x] = 0.0
                 if snap is not None:
                     snap[x] = u[x]
                 if counters is not None:
@@ -364,7 +338,7 @@ class PipelineEngine(ReferenceEngine):
                 counters.stores[x] = counters.stores.get(x, 0) + 1
             if code == LAST_NONE:
                 continue
-            rho = b[x] + (au[x] if code == LAST_OVERLAPPED else ar[x]) - au[x]
+            rho = b[x] - au[x]
             if code != LAST_HANGING:
                 if code == LAST_COMPOSITE:
                     l2h += (hw[x] * rho) ** 2

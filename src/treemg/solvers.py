@@ -2,23 +2,21 @@
 
 All solvers run on full-approximation state: every level stores nodal
 solution values and coarse levels hold the injection of the next finer
-one.  A coarse right-hand side combines the operator image of the
-injected state over the refined region with the accumulated restriction
-of the finer level's residual,
+one.  A level's residual is the composite-grid residual of its leaf cells
+plus what the finer levels restrict into it (the FAC composite residual),
 
-    b_c = A_c^(refined part)(I u) + R (b_f - A_f u_f),
+    rho_l = R rho_(l+1) - A_l^(leaf cells) u_l,
 
-so the smoother input on every level is exactly the restricted residual
-chain.  Wherever the coarse operator satisfies the Galerkin identity
-A_c = R A_f P (always for the operator-dependent flavour, and exactly for
-unit coefficients with the geometric one) this equals the restriction of
-the hierarchical residual b_f - A_f (id - P I) u_f; for rediscretized
-coarse operators under strong coefficient variation the hierarchical form
-would leave a consistency defect that keeps the exact solution from being
-a fixed point, hence the correction-consistent form is authoritative.
-Residuals accumulated at hanging vertices carry no equation but restrict
-onwards, which keeps composite meshes consistent across resolution
-transitions.
+with A_l^(leaf cells) the element operator of the level's unrefined cells.
+It equals the correction-consistent form (R rho_(l+1) + A_l^(refined
+cells)(I u)) - A_l (I u), because refined and leaf cells are disjoint; at
+coarse-overlapped vertices no leaf cell is adjacent and the residual is
+the restricted one alone.  The coarse operators A_l therefore enter an
+additive cycle only through their diagonal (plus the Galerkin build and
+the two-grid coarse solve), and the exact solution is a fixed point for
+rediscretized and Galerkin coarse operators alike.  Residuals accumulated
+at hanging vertices carry no equation but restrict onwards, which keeps
+composite meshes consistent across resolution transitions.
 
 One damped Jacobi step per level per cycle, no exceptions.  Variants
 differ only in the per-level update and in what feeds the restriction:
@@ -136,7 +134,6 @@ class ReferenceEngine:
     def __init__(self, tree: Spacetree, cfg: SolverConfig):
         self.tree = tree
         self.cfg = cfg
-        self.rhs: dict[int, np.ndarray] = {}
         self.rebuild()
 
     # -- operator construction ---------------------------------------------
@@ -157,7 +154,7 @@ class ReferenceEngine:
 
         # Effective material samples: leaf cells keep their midpoint sample
         # (the composite discretization), refined cells average their
-        # children so correction-equation stencils carry the scale of the
+        # children so correction-equation diagonals carry the scale of the
         # fine content they stand in for.  Without this, a refined cell
         # whose own midpoint sees the weak material but whose children
         # contain the stiff one gets a diagonal orders of magnitude below
@@ -168,14 +165,10 @@ class ReferenceEngine:
             eff = tree.eps[l].copy()
             if l < tree.lmax and tree.refined[l].any():
                 n = 3**l
-                child = self.eff_eps.get(l + 1)
-                if child is None:
-                    child = tree.eps[l + 1]
-                avg = child.reshape(n, 3, n, 3).mean(axis=(1, 3))
+                avg = self.eff_eps[l + 1].reshape(n, 3, n, 3).mean(axis=(1, 3))
                 eff = np.where(tree.refined[l], avg, eff)
             self.eff_eps[l] = eff
 
-        self.refined_ops: dict[int, ElementOperator | None] = {}
         eps_masked = {}
         for l in range(tree.lmin, self.ltop + 1):
             eps_masked[l] = self.eff_eps[l] * tree.cells_exist(l)
@@ -193,7 +186,6 @@ class ReferenceEngine:
             }
             n = 3**l
             if l < tree.lmax and tree.refined[l].any():
-                self.refined_ops[l] = ElementOperator(self.eff_eps[l] * tree.refined[l])
                 refined_around = np.zeros((n + 2, n + 2), dtype=bool)
                 refined_around[1:-1, 1:-1] = tree.refined[l]
                 any_refined = (
@@ -202,7 +194,6 @@ class ReferenceEngine:
                 )
                 self.hweight[l] = np.where(any_refined, 3.0 ** -(l + 1), 3.0**-l)
             else:
-                self.refined_ops[l] = None
                 # no refined cells: the local mesh width is uniform
                 self.hweight[l] = np.full((1, 1), 3.0**-l)
             # h-weights of the composite vertices in boolean-index order,
@@ -229,17 +220,24 @@ class ReferenceEngine:
             raw = self.ops[self.ltop].table()
             for l in range(self.ltop - 1, tree.lmin - 1, -1):
                 fine_kinds = self.masks[l + 1]["kinds"]
-                refined = tree.refined[l][:, :] & (tree.cells_exist(l))
+                refined = tree.refined[l] & tree.cells_exist(l)
                 p_tbl = boxmg_prolongation(raw, refined, fine_kinds, VertexKind.HANGING)
                 masked = raw * self.masks[l + 1]["dof"][:, :, None, None]
                 rap = ritz_galerkin_coarse(masked, p_tbl)
                 tbl = assemble_stencil_table(eps_masked[l])
-                overlap = self.masks[l]["kinds"] == VertexKind.COARSE_OVERLAPPED
+                overlap = self.masks[l]["overlapped"]
                 tbl[overlap] = rap[overlap]
                 self.ops[l] = TableOperator(tbl)
                 rtl = smoothed_restriction_table(p_tbl, self.cfg.omega) if want_rt else None
                 self.transfers[l] = TransferOps(p_tbl, rtl)
                 raw = tbl
+
+        # the operators of each level's leaf cells, which alone form its
+        # residual; none where every cell of a level is refined
+        self.leaf_ops: dict[int, ElementOperator | None] = {self.ltop: self.ops[self.ltop]}
+        for l in range(tree.lmin, self.ltop):
+            leaf_eps = eps_masked[l] * ~tree.refined[l]
+            self.leaf_ops[l] = ElementOperator(leaf_eps) if leaf_eps.any() else None
 
         if self.cfg.variant == "multiplicative-v10":
             if self.ltop - tree.lmin != 1 or not self._regular():
@@ -294,12 +292,6 @@ class ReferenceEngine:
             vals = prolong_values(self.tree.u[l - 1])
             self.tree.u[l][hang] = vals[hang]
 
-    def _rhs(self, l: int) -> np.ndarray:
-        r = self.rhs.get(l)
-        if r is None:
-            return np.zeros_like(self.tree.u[l])
-        return r
-
     def _omega_add(self, l: int) -> float:
         if self.cfg.variant == "additive-exp":
             return self.cfg.omega_hat ** (self.ltop - l)
@@ -307,47 +299,28 @@ class ReferenceEngine:
 
     # -- one cycle -----------------------------------------------------------
 
-    def _bpart(self, l: int, au: np.ndarray) -> np.ndarray:
-        """Operator image of the injected state over the refined region.
-
-        Overlapped vertices own a pure correction equation, so their whole
-        stored row (Galerkin under the operator-dependent flavour) enters;
-        elsewhere only the element contributions of refined cells do.
-        """
-        rop = self.refined_ops[l]
-        if rop is None:
-            return np.zeros_like(au)
-        ar = rop.apply(self.tree.u[l])
-        over = self.masks[l]["overlapped"]
-        if over.any():
-            ar = np.where(over, au, ar)
-        return ar
-
     def _residual_chain(self, stats: CycleStats):
         """Walk the restricted residual chain of the current iterate, top down.
 
-        Forms each level's right-hand side b (the restricted finer residual
-        plus the refined-part term), adds the level's residual to stats,
+        Each level's residual is the restricted finer residual b minus the
+        operator image of its leaf cells.  The walk adds it to stats,
         restricts it into the next coarser b and yields (l, rho_dof), the
         residual at equation-carrying vertices.  Residuals at hanging
         vertices restrict onwards but are not part of rho_dof.
         """
         tree = self.tree
         l0, l1 = tree.lmin, self.ltop
-        b = self._rhs(l1)
+        b = 0.0
         for l in range(l1, l0 - 1, -1):
             masks = self.masks[l]
-            au = self.ops[l].apply(tree.u[l])
-            if l < l1:
-                b = b + self._bpart(l, au)
-            rho = np.where(masks["rho_src"], b - au, 0.0)
+            leaf = self.leaf_ops[l]
+            rho = np.where(masks["rho_src"], b if leaf is None else b - leaf.apply(tree.u[l]), 0.0)
             rho_dof = np.where(masks["dof"], rho, 0.0)
             self._accumulate_stats(stats, l, rho_dof)
             if l > l0:
                 if self.cfg.variant == "afacc":
                     rho[::3, ::3] = 0.0  # vertices coinciding with the coarser level
                 b = self.transfers[l - 1].restrict(rho)
-                b += self._rhs(l - 1)
             yield l, rho_dof
 
     def advance(self) -> CycleStats:
@@ -403,7 +376,7 @@ class ReferenceEngine:
         dof_f, dof_c = self.masks[l1]["dof"], self.masks[l0]["dof"]
 
         stats = self._new_stats()
-        rho = np.where(dof_f, self._rhs(l1) - op_f.apply(tree.u[l1]), 0.0)
+        rho = np.where(dof_f, -op_f.apply(tree.u[l1]), 0.0)
         self._accumulate_stats(stats, l1, rho)
         rho_c0 = np.where(dof_c, self.transfers[l0].restrict(rho), 0.0)
         self._accumulate_stats(stats, l0, rho_c0)
@@ -411,7 +384,7 @@ class ReferenceEngine:
         tree.u[l1] += cfg.omega * rho / self.diag[l1]
         self.update_fas_state()
 
-        rho_sm = np.where(dof_f, self._rhs(l1) - op_f.apply(tree.u[l1]), 0.0)
+        rho_sm = np.where(dof_f, -op_f.apply(tree.u[l1]), 0.0)
         rho_c = np.where(dof_c, self.transfers[l0].restrict(rho_sm), 0.0)
         inv, idx = self._coarse_dense
         c_vec = inv @ rho_c[tuple(idx.T)]

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import treemg.bench as bench
 from treemg.bench import (
     CSV_HEADER,
     ConfigError,
@@ -183,6 +184,22 @@ def test_cli_rejects_bad_amr_and_divergence(argv, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: ")
+
+
+def test_memory_estimate_rejects_oversized_runs(monkeypatch, capsys):
+    # validation only: no test may start a solve above lmax 7
+    monkeypatch.setattr(bench, "physical_memory", lambda: 8 * 2**30)
+    ExperimentConfig(lmax=7).validate()
+    for lmax in (9, 10**6):
+        with pytest.raises(ConfigError, match=f"lmax {lmax} needs about"):
+            ExperimentConfig(lmax=lmax).validate()
+    monkeypatch.setattr(bench, "physical_memory", lambda: 2**19)
+    rc = main(["--lmax", "4", "--max-cycles", "1"])
+    out, err = capsys.readouterr()
+    assert rc == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: lmax 4 needs about")
 
 
 def test_cli_help_exits_zero(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from treemg.discretization import constant_field, half_domain_jump
 from treemg.operators import geometric_prolongation
-from treemg.pipeline import PipelineEngine, sweep_count_for_cycles
+from treemg.pipeline import ENTER, PipelineEngine, sweep_count_for_cycles
 from treemg.solvers import ReferenceEngine, SolverConfig
 from treemg.spacetree import LEX_CHILD_ORDER, VertexKind, build_regular
 
@@ -134,7 +134,9 @@ def test_matvec_accumulation_matches_stencil_application():
     u0 = {l: tree.u[l].copy() for l in (1, 2)}
     eng.advance()
     for l in (1, 2):
-        want = eng.ops[l].apply(u0[l])
+        # only leaf cells accumulate; level 1 is fully refined
+        leaf = eng.leaf_ops[l]
+        want = np.zeros_like(u0[l]) if leaf is None else leaf.apply(u0[l])
         dof = eng.masks[l]["dof"]
         got = eng.helpers[l]["acc_au"]
         assert np.abs((got - want)[dof]).max() < 1e-13
@@ -219,3 +221,17 @@ def test_hanging_weights_are_the_dlinear_products(graded):
             assert got == want, (l, i, j)
             checked += 1
     assert checked > 0
+
+
+def test_stream_enters_each_leaf_cell_once(graded):
+    pipe = PipelineEngine(graded, SolverConfig(variant="adafac-jac"))
+    plan = pipe._compile()
+    entered = [x for code, x in plan.stream if code == ENTER]
+    leaves = 0
+    for l in range(graded.lmin, pipe.ltop + 1):
+        leaf = graded.cells_exist(l)
+        if l < graded.lmax:
+            leaf &= ~graded.refined[l]
+        leaves += int(leaf.sum())
+    assert len(entered) == len(set(entered)) == leaves
+    assert all(plan.cells[x] is not None for x in entered)

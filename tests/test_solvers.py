@@ -122,9 +122,9 @@ def test_exact_solution_is_fixed_point(variant):
 
 @pytest.mark.parametrize("flavor", ["geometric", "boxmg"])
 def test_fixed_point_on_jump_both_flavors(flavor):
-    # the correction-consistent coarse right-hand side keeps the exact
-    # solution a fixed point even where rediscretized coarse operators
-    # disagree with the Galerkin ones
+    # coarse residuals formed from leaf cells keep the exact solution a
+    # fixed point even where rediscretized coarse operators disagree with
+    # the Galerkin ones
     field = half_domain_jump(2)
     tree, eng = make_engine(2, field=field, variant="adafac-jac", flavor=flavor)
     u_star = exact_solve(build_hierarchy(1, 2, field).fine())
@@ -140,18 +140,31 @@ def test_fixed_point_on_jump_both_flavors(flavor):
 ])
 def test_restriction_equals_hierarchical_residual_under_galerkin(flavor, field):
     # wherever A_c = R A_f P holds, the correction-consistent right-hand
-    # side equals the restricted hierarchical residual R(b - A u_hat)
+    # side equals the restricted hierarchical residual R(b - A u_hat); every
+    # coarse DoF of a regular tree is overlapped, so its whole row enters
     tree, eng = make_engine(2, field=field, variant="additive", flavor=flavor)
     randomize(tree, eng, seed=21)
     op_f, op_c = eng.ops[2], eng.ops[1]
     dof_f = tree.dof_mask(2)
     rho_f = np.where(dof_f, -op_f.apply(tree.u[2]), 0.0)
-    correction_consistent = eng.transfers[1].restrict(rho_f) + eng._bpart(1, op_c.apply(tree.u[1]))
+    correction_consistent = eng.transfers[1].restrict(rho_f) + op_c.apply(tree.u[1])
     uh = tree.u[2] - eng.transfers[1].prolong(tree.u[1])
     rhat = np.where(dof_f, -op_f.apply(uh), 0.0)
     hierarchical = eng.transfers[1].restrict(rhat)
     dof_c = tree.dof_mask(1)
     assert np.abs((correction_consistent - hierarchical)[dof_c]).max() < 1e-11
+
+
+@pytest.mark.parametrize("flavor", ["geometric", "boxmg"])
+def test_coarse_residual_is_restricted_residual_on_regular_tree(flavor):
+    # no level below the top of a regular tree has a leaf cell, so its
+    # residual is exactly the restriction of the finer one
+    tree, eng = make_engine(3, field=half_domain_jump(3), variant="additive", flavor=flavor)
+    randomize(tree, eng, seed=8)
+    rho = dict(eng._residual_chain(eng._new_stats()))
+    for l in range(tree.lmin, eng.ltop):
+        want = np.where(eng.masks[l]["dof"], eng.transfers[l].restrict(rho[l + 1]), 0.0)
+        assert np.array_equal(rho[l], want)
 
 
 def test_deep_convergence_on_adaptive_mesh():
