@@ -192,7 +192,8 @@ class DenseHierarchy:
         self.p = {}
         self.rt = {}
         unit = EpsilonField("constant", value=1.0)
-        for l in range(lmin, lmax):
+        # top-down, so that a Galerkin level reads the finer Galerkin matrix
+        for l in range(lmax - 1, lmin - 1, -1):
             coarse, fine = self.levels[l], self.levels[l + 1]
             if flavor == "boxmg":
                 self.p[l] = dense_boxmg_p(coarse, fine)

@@ -14,11 +14,11 @@ residual to the parent level.  n cycles therefore cost
 n + 1 sweeps: the kick-off sweep only computes, the following sweeps both
 apply and compute.
 
-Bookmark layout per vertex: sl (own update), stl (own damping term), sc
-(prolongation carry), sf (injected sum of finer updates), b and bt
-(restricted right-hand sides; bt double-buffered), au (the leaf-cell
-mat-vec), and for the injection-damped variant a double-buffered field tco
-of injected c-point updates.
+Bookmark layout per vertex: sl (own update), sc (prolongation carry), sf
+(injected sum of finer updates), b and bt (restricted right-hand sides; bt
+double-buffered), au (the leaf-cell mat-vec), and for the injection-damped
+variant a double-buffered field tco of injected c-point updates.  A
+vertex's own damping term stl lives only within its first touch.
 
 Where the half-sweep schedule leaves room for interpretation, the binding
 requirement is iterate equality with the level-by-level reference engine:
@@ -43,6 +43,14 @@ prolongation/scatter and R~ rows, damping chain, c-point parent) and per
 leaf cell (corners, material).  A sweep is one loop over the
 stream on Python lists, with every arithmetic expression in the order of
 the definitions above.
+
+The bookmarks stay Python lists from one sweep to the next, as a
+stack-based traversal keeps vertex state in place between grid sweeps.
+They are written back to the numpy store only when something else needs
+it: a read of ``helpers`` (which then drops the lists, so writes through
+its views reach the next sweep) and ``rebuild()``; ``reset_helpers()``
+drops them unwritten.  ``tree.u`` is read at the start of every sweep and
+written back at its end.
 
 The engine supports the plain additive solver and both damped variants.
 Strictly one execution context per tree; helper bookkeeping is
@@ -73,7 +81,7 @@ from .spacetree import (
 
 __all__ = ["PipelineEngine", "sweep_count_for_cycles"]
 
-HELPERS = ("sl", "stl", "sc", "sf", "b", "bt_r", "bt_w", "acc_au", "tco_r", "tco_w")
+HELPERS = ("sl", "sc", "sf", "b", "bt_r", "bt_w", "acc_au", "tco_r", "tco_w")
 
 # event codes of a compiled sweep: enter a leaf cell; first touch of a hanging,
 # Dirichlet, undamped or damped equation vertex; last touch of a vertex
@@ -105,8 +113,8 @@ class PipelineEngine(ReferenceEngine):
     iterate that sweep's restrictions were computed from, exactly matching
     the reference engine's advance().  A cycle's iterate becomes readable
     only after the next sweep's descent; capture_iterate=True snapshots it
-    then (available as last_snapshot).  helpers[l][name] and tree.u hold
-    the state after each sweep.
+    then (available as last_snapshot).  tree.u holds the state after each
+    sweep, and each read of helpers[l][name] gives a view of it.
     """
 
     def __init__(self, tree: Spacetree, cfg: SolverConfig,
@@ -118,6 +126,7 @@ class PipelineEngine(ReferenceEngine):
         self._swept = False
         self.last_snapshot = None
         self.last_counters = None
+        self._lists = None
         super().__init__(tree, cfg)
 
     # -- construction --------------------------------------------------------
@@ -125,6 +134,7 @@ class PipelineEngine(ReferenceEngine):
     def rebuild(self) -> None:
         """Rebuild the operators; helpers of existing levels keep their
         values, and the traversal is compiled again at the next sweep."""
+        self._flush()
         super().rebuild()
         old = getattr(self, "_store", np.zeros((len(HELPERS), 0)))
         # one row per helper over the flat vertex ids of levels 0..ltop
@@ -135,15 +145,24 @@ class PipelineEngine(ReferenceEngine):
 
     @property
     def helpers(self) -> dict[int, dict[str, np.ndarray]]:
-        """helpers[l][name]: a writable view of one helper on level l."""
+        """helpers[l][name]: a writable view of one helper on level l,
+        current until the next sweep."""
+        self._flush()
         off = vertex_offsets(self.ltop)
         return {l: {name: row[off[l]:off[l + 1]].reshape(self.tree.u[l].shape)
                     for name, row in zip(HELPERS, self._store)}
                 for l in range(self.tree.lmin, self.ltop + 1)}
 
     def reset_helpers(self) -> None:
+        self._lists = None
         self._store.fill(0.0)
         self._swept = False
+
+    def _flush(self) -> None:
+        """Write the helper lists back to the store and drop them."""
+        if self._lists is not None:
+            self._store[...] = [self._lists[name] for name in HELPERS]
+            self._lists = None
 
     # -- compilation -----------------------------------------------------------
 
@@ -279,10 +298,13 @@ class PipelineEngine(ReferenceEngine):
         dsw = cfg.damping_scale * cfg.wt
         cells, prow, rrow, dterms = plan.cells, plan.prow, plan.rrow, plan.dterms
         chain, cpar, diag, hw = plan.chain, plan.cpar, plan.diag, plan.hw
-        E1 = ELEMENT_MATRIX_UNIT.tolist()
+        ((e00, e01, e02, e03), (e10, e11, e12, e13),
+         (e20, e21, e22, e23), (e30, e31, e32, e33)) = ELEMENT_MATRIX_UNIT.tolist()
         u = np.concatenate([tree.u[l].ravel() for l in range(ltop + 1)]).tolist()
-        h = dict(zip(HELPERS, self._store.tolist()))
-        sl, stlv, sc, sf, b = h["sl"], h["stl"], h["sc"], h["sf"], h["b"]
+        if self._lists is None:
+            self._lists = dict(zip(HELPERS, self._store.tolist()))
+        h = self._lists
+        sl, sc, sf, b = h["sl"], h["sc"], h["sf"], h["b"]
         btr, btw, au = h["bt_r"], h["bt_w"], h["acc_au"]
         tcor, tcow = h["tco_r"], h["tco_w"]
         snap = list(u) if capture_iterate else None
@@ -291,10 +313,12 @@ class PipelineEngine(ReferenceEngine):
 
         for code, x in plan.stream:
             if code == ENTER:
-                corners, eps = cells[x]
-                u0, u1, u2, u3 = u[corners[0]], u[corners[1]], u[corners[2]], u[corners[3]]
-                for va, (e0, e1, e2, e3) in zip(corners, E1):
-                    au[va] += eps * (e0 * u0 + e1 * u1 + e2 * u2 + e3 * u3)
+                (c0, c1, c2, c3), eps = cells[x]
+                u0, u1, u2, u3 = u[c0], u[c1], u[c2], u[c3]
+                au[c0] += eps * (e00 * u0 + e01 * u1 + e02 * u2 + e03 * u3)
+                au[c1] += eps * (e10 * u0 + e11 * u1 + e12 * u2 + e13 * u3)
+                au[c2] += eps * (e20 * u0 + e21 * u1 + e22 * u2 + e23 * u3)
+                au[c3] += eps * (e30 * u0 + e31 * u1 + e32 * u2 + e33 * u3)
                 continue
             if code <= FIRST_DAMPED:
                 if code == FIRST_DIRICHLET:
@@ -319,7 +343,6 @@ class PipelineEngine(ReferenceEngine):
                             for s, w in prow[x]:
                                 t += w * tcor[s]
                             stl = ds * t
-                        stlv[x] = stl
                         u[x] += carry - stl
                         sc[x] = sl[x] - stl + carry
                         # finer levels' damping of the cycle being applied,
@@ -372,7 +395,6 @@ class PipelineEngine(ReferenceEngine):
             h["bt_r"], h["bt_w"] = btw, [0.0] * len(btw)
         if pi:
             h["tco_r"], h["tco_w"] = tcow, [0.0] * len(tcow)
-        self._store[...] = [h[name] for name in HELPERS]
         if snap is not None:
             snap = np.array(snap)
             snap = {l: snap[off[l]:off[l + 1]].reshape(tree.u[l].shape)

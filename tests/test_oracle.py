@@ -196,3 +196,14 @@ def test_afacc_mask_vanishes_off_c_points():
 def test_oracle_capped_at_desk_scale():
     with pytest.raises(ValueError):
         DenseLevel(5, POISSON)
+
+
+@pytest.mark.parametrize("field", [half_domain_jump(3), needle_inclusion(3)])
+def test_boxmg_chain_is_galerkin_on_every_level(field):
+    """Each boxmg coarse matrix is the Galerkin product of the finished
+    finer one, down the whole chain."""
+    h = build_hierarchy(1, 3, field, flavor="boxmg")
+    for l in (1, 2):
+        p = h.p[l]
+        want = np.where(h.levels[l].interior[:, None], p.T @ h.levels[l + 1].a @ p, 0.0)
+        assert np.abs(h.levels[l].a - want).max() < 1e-12, l

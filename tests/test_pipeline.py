@@ -235,3 +235,49 @@ def test_stream_enters_each_leaf_cell_once(graded):
         leaves += int(leaf.sum())
     assert len(entered) == len(set(entered)) == leaves
     assert all(plan.cells[x] is not None for x in entered)
+
+
+def _swept_pair(graded, sweeps):
+    """Two adafac-jac engines on copies of the graded mesh, each after the
+    same number of sweeps."""
+    engines = []
+    for tree in (graded, copy.deepcopy(graded)):
+        eng = PipelineEngine(tree, SolverConfig(variant="adafac-jac"))
+        eng.update_fas_state()
+        for _ in range(sweeps):
+            eng.advance()
+        engines.append(eng)
+    return engines
+
+
+def _assert_same_state(a, b):
+    for l in range(a.tree.lmin, a.ltop + 1):
+        assert np.array_equal(a.tree.u[l], b.tree.u[l]), l
+        hb = b.helpers[l]
+        for name, arr in a.helpers[l].items():
+            assert np.array_equal(arr, hb[name]), (l, name)
+
+
+def test_rebuild_between_sweeps_keeps_state(graded):
+    """rebuild() on an unchanged mesh writes the sweeps' helper state back
+    before it copies the store: the run goes on bit for bit."""
+    plain, rebuilt = _swept_pair(graded, 2)
+    for _ in range(4):
+        plain.advance()
+        rebuilt.rebuild()
+        rebuilt.advance()
+    _assert_same_state(plain, rebuilt)
+
+
+def test_writes_through_helper_views_reach_the_next_sweep(graded):
+    """Zeroing every helper through the views of helpers equals
+    reset_helpers(): a read of helpers hands the sweep state to the store."""
+    viewed, reset = _swept_pair(graded, 3)
+    for per_level in viewed.helpers.values():
+        for arr in per_level.values():
+            arr[...] = 0.0
+    reset.reset_helpers()
+    for eng in (viewed, reset):
+        eng.advance()
+        eng.advance()
+    _assert_same_state(viewed, reset)
