@@ -20,11 +20,14 @@ unit-coefficient operator on every level, which removes the material
 parameter from the damping term on elements with constant coefficient.
 
 Array convention: vertex fields of a level with n cells per axis are
-(n+1, n+1) arrays indexed [i, j], i along x.  Stencil tables are
-(n+1, n+1, 3, 3) with table[i, j, a, b] coupling vertex (i, j) to
-(i+a-1, j+b-1).  Transfer tables are (nc+1, nc+1, 7, 7) with
-table[i, j, a, b] the weight between coarse vertex (i, j) and fine vertex
-(3i+a-3, 3j+b-3).
+(n+1, n+1) arrays indexed [i, j], i along x.  The cycle kernels (the
+d-linear transfers, ElementOperator.apply and the geometric TransferOps)
+take C-contiguous fields and return new C-contiguous arrays, so that the
+elementwise passes that mix their results with level fields walk memory
+in order.  Stencil tables are (n+1, n+1, 3, 3) with table[i, j, a, b]
+coupling vertex (i, j) to (i+a-1, j+b-1).  Transfer tables are
+(nc+1, nc+1, 7, 7) with table[i, j, a, b] the weight between coarse
+vertex (i, j) and fine vertex (3i+a-3, 3j+b-3).
 
 The table transfers work on whole levels.  Restriction by a P table, and
 the smoothed R~ of both flavours (one 7x7 stencil for the geometric one),
@@ -74,19 +77,23 @@ def geometric_prolongation() -> np.ndarray:
 def _dlinear1d(arr: np.ndarray, axis: int, up: bool) -> np.ndarray:
     """d-linear transfer along one axis: with up, coarse (m+1) -> fine
     (3m+1), out[3c+o] += w_o arr[c]; otherwise its transpose, fine ->
-    coarse, out[c] += w_o arr[3c+o].  Targets outside the grid are dropped."""
-    arr = np.moveaxis(arr, axis, 0)
-    m = arr.shape[0] - 1 if up else (arr.shape[0] - 1) // 3
-    out = np.zeros((3 * m + 1 if up else m + 1,) + arr.shape[1:])
+    coarse, out[c] += w_o arr[3c+o].  Targets outside the grid are dropped.
+    The result is a new C-contiguous array."""
+    m = arr.shape[axis] - 1 if up else (arr.shape[axis] - 1) // 3
+    shape = list(arr.shape)
+    shape[axis] = 3 * m + 1 if up else m + 1
+    out = np.zeros(shape)
+    lead = (slice(None),) * axis
     for off, w in zip(range(-2, 3), _W):
         lo = (max(0, -off) + 2) // 3
         hi = m - (max(0, off) + 2) // 3
-        coarse, fine = slice(lo, hi + 1), slice(3 * lo + off, 3 * hi + off + 1, 3)
+        coarse = lead + (slice(lo, hi + 1),)
+        fine = lead + (slice(3 * lo + off, 3 * hi + off + 1, 3),)
         if up:
             out[fine] += w * arr[coarse]
         else:
             out[coarse] += w * arr[fine]
-    return np.moveaxis(out, 0, axis)
+    return out
 
 
 def prolong_values(coarse: np.ndarray) -> np.ndarray:
@@ -129,25 +136,42 @@ class ElementOperator:
     level; zero marks cells that do not exist.  For a uniform coefficient
     the application collapses to the constant nine-point stencil at
     interior vertices (border rows of that fast path are full-stencil
-    against zero-extension; the engines never consume them)."""
+    against zero-extension; the engines never consume them).
+
+    The general application works on the raveled (n+1)^2 vertex field.
+    eps is kept zero-padded by one row and one column, so that cell (i, j)
+    has the flat index i*(n+1) + j of its lower-left vertex and each corner
+    of every cell is one shifted contiguous slice; the padding cells add
+    zero terms only."""
 
     def __init__(self, eps: np.ndarray):
-        self.eps = eps
-        self.n = eps.shape[0]
+        n = eps.shape[0]
+        self.n = n
         first = float(eps.flat[0])
         self.const_eps = first if first > 0.0 and np.all(eps == first) else None
+        self._eps_pad = np.zeros((n + 1, n + 1))
+        self._eps_pad[:n, :n] = eps
+        self.eps = self._eps_pad[:n, :n]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        n = self.n
         if self.const_eps is not None:
             return apply_constant_stencil(x, interior_stencil(self.const_eps))
-        out = np.zeros_like(x)
-        for a, (a0, a1) in enumerate(CORNER_OFFSETS):
-            acc = np.zeros((n, n))
-            for b, (b0, b1) in enumerate(CORNER_OFFSETS):
-                acc += ELEMENT_MATRIX_UNIT[a, b] * x[b0 : b0 + n, b1 : b1 + n]
-            out[a0 : a0 + n, a1 : a1 + n] += self.eps * acc
-        return out
+        n1 = self.n + 1
+        m = n1 * n1 - n1 - 1  # cells up to the last real one, (n-1, n-1)
+        shift = [a0 * n1 + a1 for a0, a1 in CORNER_OFFSETS]
+        xf = x.reshape(-1)
+        eps = self._eps_pad.reshape(-1)[:m]
+        out = np.zeros(n1 * n1)
+        acc = np.empty(m)
+        tmp = np.empty(m)
+        for a, sa in enumerate(shift):
+            np.multiply(xf[shift[0] : shift[0] + m], ELEMENT_MATRIX_UNIT[a, 0], out=acc)
+            for b in range(1, 4):
+                np.multiply(xf[shift[b] : shift[b] + m], ELEMENT_MATRIX_UNIT[a, b], out=tmp)
+                acc += tmp
+            acc *= eps
+            out[sa : sa + m] += acc
+        return out.reshape(n1, n1)
 
     def diag(self) -> np.ndarray:
         n = self.n

@@ -123,6 +123,16 @@ def count_updates(level_dofs: dict[int, int], variant: str, lmin: int, lmax: int
     return total
 
 
+def _complement(mask: np.ndarray) -> np.ndarray | None:
+    """~mask, or None when mask is all true."""
+    return None if mask.all() else ~mask
+
+
+def _zero(arr: np.ndarray, where: np.ndarray | None) -> None:
+    if where is not None:
+        arr[where] = 0.0
+
+
 class ReferenceEngine:
     """Runs cycles on a spacetree; the semantic ground truth engine.
 
@@ -175,14 +185,21 @@ class ReferenceEngine:
             kinds = tree.vertex_kinds(l)
             dof = tree.dof_mask(l)
             hanging = kinds == VertexKind.HANGING
+            exists = kinds != VertexKind.NONE
+            not_dof = _complement(dof)
             self.masks[l] = {
                 "kinds": kinds,
                 "dof": dof,
                 "composite": kinds == VertexKind.INTERIOR_DOF,
                 "hanging": hanging,
-                "exists": kinds != VertexKind.NONE,
+                "exists": exists,
                 "overlapped": kinds == VertexKind.COARSE_OVERLAPPED,
-                "rho_src": dof | hanging,
+                # the vertices zeroed on each cycle's fresh level arrays:
+                # the complements of dof, dof | hanging and exists, None
+                # where the complement is empty
+                "not_dof": not_dof,
+                "not_src": _complement(dof | hanging) if hanging.any() else not_dof,
+                "missing": _complement(exists),
             }
             n = 3**l
             if l < tree.lmax and tree.refined[l].any():
@@ -216,7 +233,9 @@ class ReferenceEngine:
             for l in range(tree.lmin, self.ltop):
                 self.transfers[l] = TransferOps(None, rt)
         else:
-            self.ops[self.ltop] = ElementOperator(eps_masked[self.ltop])
+            # the operator keeps its own padded copy; dropping the finest
+            # samples keeps them from doubling through the Galerkin build
+            self.ops[self.ltop] = ElementOperator(eps_masked.pop(self.ltop))
             raw = self.ops[self.ltop].table()
             for l in range(self.ltop - 1, tree.lmin - 1, -1):
                 fine_kinds = self.masks[l + 1]["kinds"]
@@ -314,8 +333,16 @@ class ReferenceEngine:
         for l in range(l1, l0 - 1, -1):
             masks = self.masks[l]
             leaf = self.leaf_ops[l]
-            rho = np.where(masks["rho_src"], b if leaf is None else b - leaf.apply(tree.u[l]), 0.0)
-            rho_dof = np.where(masks["dof"], rho, 0.0)
+            if leaf is None:
+                rho = b  # a fresh array of restrict()
+            else:
+                rho = leaf.apply(tree.u[l])
+                np.subtract(b, rho, out=rho)
+            _zero(rho, masks["not_src"])
+            if masks["hanging"].any() or self.cfg.variant == "afacc":
+                rho_dof = np.where(masks["dof"], rho, 0.0)
+            else:
+                rho_dof = rho  # no hanging vertex: rho is zero off the dofs
             self._accumulate_stats(stats, l, rho_dof)
             if l > l0:
                 if self.cfg.variant == "afacc":
@@ -335,16 +362,16 @@ class ReferenceEngine:
         stats = self._new_stats()
         rho_fine = None
         for l, rho_dof in self._residual_chain(stats):
-            dof = self.masks[l]["dof"]
             diag = self.diag[l]
             if cfg.variant == "bpx" and l < l1:
                 d[l] = cfg.omega * rho_dof
             else:
-                d[l] = self._omega_add(l) * rho_dof / diag
+                d[l] = np.multiply(self._omega_add(l), rho_dof)
+                np.divide(d[l], diag, out=d[l])
             if cfg.variant == "adafac-jac" and l < l1:
                 dtil[l] = cfg.damping_scale * (cfg.wt * self.transfers[l].restrict_smoothed(
                     rho_fine) / diag)
-                dtil[l][~dof] = 0.0
+                _zero(dtil[l], self.masks[l]["not_dof"])
             # the damping anticipates the smoother's update M^-1 rho, which
             # exists at smoothed vertices only: hanging residuals restrict
             # into the correction right-hand side but never into b~
@@ -356,13 +383,17 @@ class ReferenceEngine:
                 take = self.masks[l - 1]["injected"]
                 inj[take] = d[l][::3, ::3][take]
                 dtil[l] = cfg.damping_scale * self.transfers[l - 1].prolong(inj)
-                dtil[l][~self.masks[l]["dof"]] = 0.0
+                _zero(dtil[l], self.masks[l]["not_dof"])
 
         carry = None
         for l in range(l0, l1 + 1):
-            g = d[l] - dtil[l] if l in dtil else d[l]
-            carry = g if carry is None else self.transfers[l - 1].prolong(carry) + g
-            carry[~self.masks[l]["exists"]] = 0.0
+            g = np.subtract(d[l], dtil[l], out=d[l]) if l in dtil else d[l]
+            if carry is None:
+                carry = g
+            else:
+                carry = self.transfers[l - 1].prolong(carry)
+                carry += g
+            _zero(carry, self.masks[l]["missing"])
             tree.u[l] += carry
 
         self.update_fas_state()

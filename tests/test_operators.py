@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from treemg.discretization import half_domain_jump, interior_stencil
+from treemg.discretization import (
+    CORNER_OFFSETS,
+    ELEMENT_MATRIX_UNIT,
+    half_domain_jump,
+    interior_stencil,
+)
 from treemg.operators import (
     ElementOperator,
     TableOperator,
@@ -116,6 +121,41 @@ def test_element_operator_matches_table_operator():
                 e = np.zeros((n + 1, n + 1))
                 e[ti, tj] = 1.0
                 assert op_e.apply(e)[i, j] == pytest.approx(tbl[i, j, a, b], abs=1e-14)
+
+
+def element_apply_by_slices(eps, x):
+    """The element operator as 2-D slice passes, one per corner pair: the
+    reference for the order of the products and sums."""
+    n = eps.shape[0]
+    out = np.zeros_like(x)
+    for a, (a0, a1) in enumerate(CORNER_OFFSETS):
+        acc = np.zeros((n, n))
+        for b, (b0, b1) in enumerate(CORNER_OFFSETS):
+            acc += ELEMENT_MATRIX_UNIT[a, b] * x[b0 : b0 + n, b1 : b1 + n]
+        out[a0 : a0 + n, a1 : a1 + n] += eps * acc
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 3, 9, 27])
+def test_element_apply_matches_slice_formula_bitwise(n):
+    rng = np.random.default_rng(n)
+    eps = rng.uniform(0.1, 2.0, size=(n, n))
+    eps[rng.random((n, n)) < 0.3] = 0.0
+    eps[0, n - 1] = 0.0  # a missing cell on the border, and no uniform fast path
+    x = rng.standard_normal((n + 1, n + 1))
+    got = ElementOperator(eps).apply(x)
+    assert np.array_equal(got, element_apply_by_slices(eps, x))
+    assert got.flags.c_contiguous
+
+
+def test_dlinear_transfers_return_c_contiguous_arrays():
+    rng = np.random.default_rng(4)
+    nc = 9
+    c = rng.standard_normal((nc + 1, nc + 1))
+    f = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
+    geo = TransferOps(None, None)
+    for out in (prolong_values(c), restrict_dlinear(f), geo.prolong(c), geo.restrict(f)):
+        assert out.flags.c_contiguous
 
 
 def test_element_operator_interior_stencil():

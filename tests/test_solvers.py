@@ -56,11 +56,13 @@ def test_engine_matches_dense_multiplicative():
     assert np.abs(fine_vec(tree, eng) - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("variant", ["additive", "adafac-pi", "adafac-jac"])
-def test_engine_matches_dense_three_grid(variant):
-    tree, eng = make_engine(3, variant=variant)
+@pytest.mark.parametrize("variant, flavor", [
+    pytest.param(v, f, id=v if f == "geometric" else f"{v}-{f}")
+    for f in ("geometric", "boxmg") for v in ("additive", "adafac-pi", "adafac-jac")])
+def test_engine_matches_dense_three_grid(variant, flavor):
+    tree, eng = make_engine(3, variant=variant, flavor=flavor)
     randomize(tree, eng, seed=7)
-    h = build_hierarchy(1, 3, POISSON)
+    h = build_hierarchy(1, 3, POISSON, flavor=flavor)
     want = dense_cycle(h, variant, fine_vec(tree, eng))
     eng.advance()
     assert np.abs(fine_vec(tree, eng) - want).max() < 1e-12
