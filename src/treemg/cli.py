@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 
 from .bench import EXIT_CONFIG_ERROR, ConfigError, ExperimentConfig, run, write_csv
 
@@ -22,13 +23,10 @@ __all__ = ["main", "parse_args", "config_from_sources"]
 _BOOL = {"on": True, "true": True, "1": True, "yes": True,
          "off": False, "false": False, "0": False, "no": False}
 
-_FIELDS = {
-    "setup": str, "k": int, "variant": str, "flavor": str,
-    "lmin": int, "lmax": int, "omega": float, "omega_tilde": float,
-    "omega_hat": float, "amr": "bool", "boundary_cadence": int,
-    "decile": float, "engine": str, "target": float, "max_cycles": int,
-    "divergence": float, "out": str,
-}
+# the ExperimentConfig fields in declaration order, each with the parser of
+# its annotation (a string, as bench postpones annotations)
+_PARSERS = {"str": str, "int": int, "float": float, "bool": "bool"}
+_FIELDS = {f.name: _PARSERS[f.type.removesuffix(" | None")] for f in fields(ExperimentConfig)}
 
 
 def _parse_value(key: str, raw: str):

@@ -18,6 +18,13 @@ R~ = omega * R A diag(A)^-1, composed as stencils and truncated to the 7x7
 footprint of the tripartitioning transfer operators.  It is built from the
 unit-coefficient operator on every level, which removes the material
 parameter from the damping term on elements with constant coefficient.
+One builder, smoothed_restriction_table, composes it from either flavour's
+P: a per-vertex table for boxmg, and once at import the 7x7 geometric
+stencil GEOMETRIC_RTILDE for omega = 1, which the engines scale by omega.
+
+Level operators are ElementOperators, whose apply runs one element loop
+for any coefficient field, or TableOperators of explicit stencils (the
+boxmg coarse levels).
 
 Array convention: vertex fields of a level with n cells per axis are
 (n+1, n+1) arrays indexed [i, j], i along x.  The cycle kernels (the
@@ -56,8 +63,8 @@ __all__ = [
     "assemble_stencil_table",
     "boxmg_prolongation",
     "ritz_galerkin_coarse",
-    "smoothed_restriction",
     "smoothed_restriction_table",
+    "GEOMETRIC_RTILDE",
     "TransferOps",
 ]
 
@@ -109,53 +116,25 @@ def restrict_dlinear(fine: np.ndarray) -> np.ndarray:
 # -- level operators --------------------------------------------------------
 
 
-def apply_constant_stencil(x: np.ndarray, stencil: np.ndarray) -> np.ndarray:
-    """Nine-point stencil with constant coefficients, zero-extended rows.
-
-    Rows at the grid border use the full stencil against zero-extended
-    neighbours; callers mask rows they do not own.
-    """
-    out = np.zeros_like(x)
-    n1 = x.shape[0]
-    for a in range(3):
-        for b in range(3):
-            c = stencil[a, b]
-            if c == 0.0:
-                continue
-            src_i = slice(max(0, a - 1), n1 + min(0, a - 1))
-            src_j = slice(max(0, b - 1), n1 + min(0, b - 1))
-            dst_i = slice(max(0, 1 - a), n1 + min(0, 1 - a))
-            dst_j = slice(max(0, 1 - b), n1 + min(0, 1 - b))
-            out[dst_i, dst_j] += c * x[src_i, src_j]
-    return out
-
-
 class ElementOperator:
     """Vertex-stencil operator assembled on the fly from per-cell material
     samples.  eps holds one (possibly zero) coefficient per cell of the
-    level; zero marks cells that do not exist.  For a uniform coefficient
-    the application collapses to the constant nine-point stencil at
-    interior vertices (border rows of that fast path are full-stencil
-    against zero-extension; the engines never consume them).
+    level; zero marks cells that do not exist.
 
-    The general application works on the raveled (n+1)^2 vertex field.
-    eps is kept zero-padded by one row and one column, so that cell (i, j)
-    has the flat index i*(n+1) + j of its lower-left vertex and each corner
-    of every cell is one shifted contiguous slice; the padding cells add
-    zero terms only."""
+    The application works on the raveled (n+1)^2 vertex field.  eps is
+    kept zero-padded by one row and one column, so that cell (i, j) has the
+    flat index i*(n+1) + j of its lower-left vertex and each corner of
+    every cell is one shifted contiguous slice; the padding cells add zero
+    terms only."""
 
     def __init__(self, eps: np.ndarray):
         n = eps.shape[0]
         self.n = n
-        first = float(eps.flat[0])
-        self.const_eps = first if first > 0.0 and np.all(eps == first) else None
         self._eps_pad = np.zeros((n + 1, n + 1))
         self._eps_pad[:n, :n] = eps
         self.eps = self._eps_pad[:n, :n]
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        if self.const_eps is not None:
-            return apply_constant_stencil(x, interior_stencil(self.const_eps))
         n1 = self.n + 1
         m = n1 * n1 - n1 - 1  # cells up to the last real one, (n-1, n-1)
         shift = [a0 * n1 + a1 for a0, a1 in CORNER_OFFSETS]
@@ -262,16 +241,16 @@ def _solve_gamma(a_m1, a_01, a_p1, a_m2, a_02, a_p2, active):
 
 
 def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
-                       fine_kinds: np.ndarray | None = None,
-                       hanging_kind: int = 3) -> np.ndarray:
+                       hanging: np.ndarray | None = None) -> np.ndarray:
     """Operator-dependent prolongation weights per coarse vertex.
 
     fine_table holds the raw assembled fine stencils, refined the boolean
-    coarse-cell mask below which fine cells exist.  Weights are the
-    identity on c-points; on face points they come from the stencil lumped
-    along the face normal; interior points solve the local 4x4 system
-    A P e = 0 exactly.  Weights targeting hanging fine vertices are
-    replaced by the d-linear ones, matching the interpolation used for
+    coarse-cell mask below which fine cells exist, hanging the boolean mask
+    of the fine level's hanging vertices (None: there are none).  Weights
+    are the identity on c-points; on face points they come from the
+    stencil lumped along the face normal; interior points solve the local
+    4x4 system A P e = 0 exactly.  Weights targeting hanging fine vertices
+    are replaced by the d-linear ones, matching the interpolation used for
     hanging-vertex values.
 
     Returns a (nc+1, nc+1, 7, 7) table of weights at fine offsets -3..3.
@@ -369,9 +348,8 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
                 p[wi, wj, off_i, off_j] = sol[:, r, c]
 
     # Hanging fine targets interpolate d-linearly instead.
-    if fine_kinds is not None:
-        hang = _windows(fine_kinds == hanging_kind)
-        np.copyto(p, geometric_prolongation(), where=hang)
+    if hanging is not None:
+        np.copyto(p, geometric_prolongation(), where=_windows(hanging))
 
     # Drop weights pointing outside the fine grid.
     np.copyto(p, 0.0, where=~_windows(np.ones((nf + 1, nf + 1), dtype=bool)))
@@ -461,42 +439,20 @@ def ritz_galerkin_coarse(fine_table_masked: np.ndarray, p_table: np.ndarray) -> 
 # -- smoothed auxiliary restriction -----------------------------------------
 
 
-def smoothed_restriction(omega: float, truncate: bool = True) -> np.ndarray:
-    """Stencil of omega * R A diag(A)^-1 for the unit-coefficient operator.
-
-    The raw composition lives on a 9x9 footprint; truncation keeps the 7x7
-    transfer footprint and drops anything outside it without
-    renormalizing.  (For the operators at hand nothing nonzero falls
-    outside, so truncation removes exact zeros only.)
-    """
-    r7 = geometric_prolongation()
-    a1 = interior_stencil(1.0)
-    inv_diag = 3.0 / 8.0
-    raw = np.zeros((9, 9))
-    for ji in range(-3, 4):
-        for jj in range(-3, 4):
-            w = r7[ji + 3, jj + 3]
-            if w == 0.0:
-                continue
-            for si in (-1, 0, 1):
-                for sj in (-1, 0, 1):
-                    raw[ji + si + 4, jj + sj + 4] += w * a1[si + 1, sj + 1] * inv_diag
-    raw *= omega
-    return raw[1:-1, 1:-1] if truncate else raw
-
-
 def smoothed_restriction_table(p_table: np.ndarray, omega: float) -> np.ndarray:
-    """Per-vertex smoothed restriction weights.
+    """Smoothed restriction weights omega * R A diag(A)^-1.
 
-    Composes the given restriction weights (transpose of p_table) with
-    A diag(A)^-1 of the unit-coefficient operator.  Truncated to 7x7.
+    Composes the given restriction weights (transpose of p_table, an
+    (nc+1, nc+1, 7, 7) table or one (7, 7) stencil) with A diag(A)^-1 of
+    the unit-coefficient operator, and returns an array shaped like
+    p_table.  The composition lives on a 9x9 footprint; it is truncated to
+    the 7x7 transfer footprint without renormalizing.
     """
-    nc = p_table.shape[0] - 1
     a1 = interior_stencil(1.0)
-    out = np.zeros((nc + 1, nc + 1, 7, 7))
+    out = np.zeros(p_table.shape)
     for ji in range(7):
         for jj in range(7):
-            w = p_table[:, :, ji, jj]
+            w = p_table[..., ji, jj]
             if not np.any(w):
                 continue
             for si in range(3):
@@ -504,9 +460,15 @@ def smoothed_restriction_table(p_table: np.ndarray, omega: float) -> np.ndarray:
                     ti, tj = ji + si - 1, jj + sj - 1
                     if not (0 <= ti < 7 and 0 <= tj < 7):
                         continue
-                    out[:, :, ti, tj] += w * (a1[si, sj] * (3.0 / 8.0))
+                    out[..., ti, tj] += w * (a1[si, sj] * (3.0 / 8.0))
     out *= omega
     return out
+
+
+# The geometric R~ for omega = 1, shared and so read-only; the engines
+# scale it by their omega.
+GEOMETRIC_RTILDE = smoothed_restriction_table(geometric_prolongation(), 1.0)
+GEOMETRIC_RTILDE.flags.writeable = False
 
 
 # -- transfer bundle ---------------------------------------------------------
@@ -520,10 +482,11 @@ class TransferOps:
     is always the transpose of prolongation and accumulates (it never
     averages).
 
-    rtilde holds the smoothed restriction weights, a (7, 7) stencil (the
-    geometric smoothed_restriction) or an (nc+1, nc+1, 7, 7) table, or None
-    when no damping equation is solved; restrict_smoothed contracts it with
-    the 7x7 windows of the fine field for both flavours.
+    rtilde holds the smoothed restriction weights, a (7, 7) stencil (a
+    multiple of GEOMETRIC_RTILDE) or an (nc+1, nc+1, 7, 7) table, both from
+    smoothed_restriction_table, or None when no damping equation is solved;
+    restrict_smoothed contracts it with the 7x7 windows of the fine field
+    for both flavours.
     """
 
     def __init__(self, p_table: np.ndarray | None, rtilde: np.ndarray | None):

@@ -294,8 +294,7 @@ class PipelineEngine(ReferenceEngine):
         tree, cfg = self.tree, self.cfg
         l0, ltop, off = tree.lmin, self.ltop, plan.offsets
         jac, pi = cfg.variant == "adafac-jac", cfg.variant == "adafac-pi"
-        omega, ds = cfg.omega, cfg.damping_scale
-        dsw = cfg.damping_scale * cfg.wt
+        omega, wt = cfg.omega, cfg.wt
         cells, prow, rrow, dterms = plan.cells, plan.prow, plan.rrow, plan.dterms
         chain, cpar, diag, hw = plan.chain, plan.cpar, plan.diag, plan.hw
         ((e00, e01, e02, e03), (e10, e11, e12, e13),
@@ -337,19 +336,17 @@ class PipelineEngine(ReferenceEngine):
                     else:
                         stl = 0.0
                         if code == FIRST_DAMPED and jac:
-                            stl = dsw * btr[x] / diag[x]
+                            stl = wt * btr[x] / diag[x]
                         elif code == FIRST_DAMPED:
-                            t = 0.0
                             for s, w in prow[x]:
-                                t += w * tcor[s]
-                            stl = ds * t
+                                stl += w * tcor[s]
                         u[x] += carry - stl
                         sc[x] = sl[x] - stl + carry
                         # finer levels' damping of the cycle being applied,
                         # injected here from their unconsumed accumulators
                         damp = 0.0
                         for s in chain[x]:
-                            damp += dsw * btr[s] / diag[s] if jac else ds * tcor[s]
+                            damp += wt * btr[s] / diag[s] if jac else tcor[s]
                         u[x] += sf[x] - damp
                 sf[x] = b[x] = au[x] = 0.0
                 if snap is not None:

