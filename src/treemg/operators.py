@@ -11,7 +11,9 @@ operator-dependent flavour builds prolongation weights per coarse vertex by
 collapsing the fine stencils along coarse cell faces (identity on c-points,
 lumped 1D solves on face points, exact local solves on interior points),
 uses the transpose as restriction and Ritz-Galerkin coarse stencils
-A_c = R A P.
+A_c = R A P.  One face-point solve serves both edge directions: it runs on
+the level and on its transposed views, writing straight into P, and the
+interior solves read their boundary weights back from P.
 
 The auxiliary damping solver additionally needs a smoothed restriction
 R~ = omega * R A diag(A)^-1, composed as stencils and truncated to the 7x7
@@ -240,6 +242,25 @@ def _solve_gamma(a_m1, a_01, a_p1, a_m2, a_02, a_p2, active):
     return wl1, wl2, wh1, wh2
 
 
+def _face_points(fine_table: np.ndarray, refined: np.ndarray, p: np.ndarray) -> None:
+    """Face-point weights of the edges along axis 0 into p.
+
+    Edge (I, J) runs from c-point (I, J) to (I+1, J) through fine points
+    (3I+1, 3J) and (3I+2, 3J); an edge of a refined cell is solved on the
+    stencil lumped along its normal, axis 1.  The other edges are the
+    axis-0 edges of the transposed views (fine_table.transpose(1, 0, 3, 2),
+    refined.T, p.transpose(1, 0, 3, 2)).
+    """
+    active = np.zeros((refined.shape[0], refined.shape[1] + 1), dtype=bool)
+    active[:, 1:] |= refined
+    active[:, :-1] |= refined
+    g1 = fine_table[1::3, ::3].sum(axis=3)  # (nc, nc+1, 3) lumped over the normal
+    g2 = fine_table[2::3, ::3].sum(axis=3)
+    p[:-1, :, 4, 3], p[:-1, :, 5, 3], p[1:, :, 1, 3], p[1:, :, 2, 3] = _solve_gamma(
+        g1[..., 0], g1[..., 1], g1[..., 2], g2[..., 0], g2[..., 1], g2[..., 2], active
+    )
+
+
 def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
                        hanging: np.ndarray | None = None) -> np.ndarray:
     """Operator-dependent prolongation weights per coarse vertex.
@@ -248,87 +269,37 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
     coarse-cell mask below which fine cells exist, hanging the boolean mask
     of the fine level's hanging vertices (None: there are none).  Weights
     are the identity on c-points; on face points they come from the
-    stencil lumped along the face normal; interior points solve the local
-    4x4 system A P e = 0 exactly.  Weights targeting hanging fine vertices
-    are replaced by the d-linear ones, matching the interpolation used for
+    stencil lumped along the face normal, by one solve (_face_points) on
+    the level and again on its transposed views; interior points solve the
+    local 4x4 system A P e = 0 exactly, with the boundary weights of the
+    patch read from P itself.  Weights targeting hanging fine vertices are
+    replaced by the d-linear ones, matching the interpolation used for
     hanging-vertex values.
 
     Returns a (nc+1, nc+1, 7, 7) table of weights at fine offsets -3..3.
     """
     nc = refined.shape[0]
-    nf = 3 * nc
     p = np.zeros((nc + 1, nc + 1, 7, 7))
+    p[:, :, 3, 3] = 1.0  # c-points: identity
+    _face_points(fine_table, refined, p)
+    _face_points(fine_table.transpose(1, 0, 3, 2), refined.T, p.transpose(1, 0, 3, 2))
 
-    # c-points: identity.
-    p[:, :, 3, 3] = 1.0
-
-    # Horizontal edges run along x between c-points (I,J) and (I+1,J); the
-    # face normal is y, so the stencil is lumped over the y offsets.
-    active_h = np.zeros((nc, nc + 1), dtype=bool)
-    active_h[:, 1:] |= refined
-    active_h[:, :-1] |= refined
-    g1 = fine_table[1::3, ::3].sum(axis=3)  # (nc, nc+1, 3) lumped over dy
-    g2 = fine_table[2::3, ::3].sum(axis=3)
-    wl1_h, wl2_h, wh1_h, wh2_h = _solve_gamma(
-        g1[..., 0], g1[..., 1], g1[..., 2], g2[..., 0], g2[..., 1], g2[..., 2], active_h
-    )
-
-    # Vertical edges: normal is x, lump over the x offsets.
-    active_v = np.zeros((nc + 1, nc), dtype=bool)
-    active_v[1:, :] |= refined
-    active_v[:-1, :] |= refined
-    h1 = fine_table[::3, 1::3].sum(axis=2)  # (nc+1, nc, 3) lumped over dx
-    h2 = fine_table[::3, 2::3].sum(axis=2)
-    wl1_v, wl2_v, wh1_v, wh2_v = _solve_gamma(
-        h1[..., 0], h1[..., 1], h1[..., 2], h2[..., 0], h2[..., 1], h2[..., 2], active_v
-    )
-
-    # Scatter face-point weights.  Horizontal edge (I, J): fine points
-    # (3I+1, 3J) and (3I+2, 3J); low c-point (I, J), high (I+1, J).
-    p[:-1, :, 4, 3] = np.where(active_h, wl1_h, p[:-1, :, 4, 3])
-    p[:-1, :, 5, 3] = np.where(active_h, wl2_h, p[:-1, :, 5, 3])
-    p[1:, :, 2, 3] = np.where(active_h, wh2_h, p[1:, :, 2, 3])
-    p[1:, :, 1, 3] = np.where(active_h, wh1_h, p[1:, :, 1, 3])
-    p[:, :-1, 3, 4] = np.where(active_v, wl1_v, p[:, :-1, 3, 4])
-    p[:, :-1, 3, 5] = np.where(active_v, wl2_v, p[:, :-1, 3, 5])
-    p[:, 1:, 3, 2] = np.where(active_v, wh2_v, p[:, 1:, 3, 2])
-    p[:, 1:, 3, 1] = np.where(active_v, wh1_v, p[:, 1:, 3, 1])
-
-    # Interior points, cell by cell (vectorized over refined cells).  The
-    # four interior points of a refined coarse cell couple only to each
-    # other and to the cell's boundary points.
+    # Interior points, vectorized over refined cells: the four interior
+    # points of a refined coarse cell couple only to each other and to the
+    # cell's boundary points.  Patch-local coordinates (tp, tq) run over
+    # 0..3; corner (cp, cq) of cell (ci, cj) is coarse vertex (ci + cp//3,
+    # cj + cq//3), whose weight at patch point (tp, tq) is its P entry at
+    # offset (tp - cp, tq - cq).
     ci, cj = np.nonzero(refined)
     if ci.size:
-        base_i = 3 * ci
-        base_j = 3 * cj
         f_off = ((1, 1), (2, 1), (1, 2), (2, 2))
-        m = ci.size
-        a_ff = np.zeros((m, 4, 4))
-        rhs = np.zeros((m, 4, 4))  # one column per coarse corner of the cell
-
-        # Known boundary weights of the patch for each of the 4 corners.
-        # Patch-local coordinates (p, q) in 0..3.
-        known = np.zeros((m, 4, 4, 4))  # [cell, p, q, corner] (interior slots unused)
         corners = ((0, 0), (3, 0), (0, 3), (3, 3))
-        for c, (cp, cq) in enumerate(corners):
-            known[:, cp, cq, c] = 1.0
-        # Bottom/top edges (horizontal): points (1,0),(2,0),(1,3),(2,3).
-        for q, edge_j in ((0, 0), (3, 1)):
-            ej = cj + edge_j
-            known[:, 1, q, 0 + 2 * edge_j] = wl1_h[ci, ej]
-            known[:, 2, q, 0 + 2 * edge_j] = wl2_h[ci, ej]
-            known[:, 1, q, 1 + 2 * edge_j] = wh1_h[ci, ej]
-            known[:, 2, q, 1 + 2 * edge_j] = wh2_h[ci, ej]
-        # Left/right edges (vertical): points (0,1),(0,2),(3,1),(3,2).
-        for pcoord, edge_i in ((0, 0), (3, 1)):
-            ei = ci + edge_i
-            known[:, pcoord, 1, 0 + edge_i] = wl1_v[ei, cj]
-            known[:, pcoord, 2, 0 + edge_i] = wl2_v[ei, cj]
-            known[:, pcoord, 1, 2 + edge_i] = wh1_v[ei, cj]
-            known[:, pcoord, 2, 2 + edge_i] = wh2_v[ei, cj]
-
+        known = np.stack([p[ci + cp // 3, cj + cq // 3, 3 - cp : 7 - cp, 3 - cq : 7 - cq]
+                          for cp, cq in corners], axis=-1)  # [cell, tp, tq, corner]
+        a_ff = np.zeros((ci.size, 4, 4))
+        rhs = np.zeros((ci.size, 4, 4))  # one column per corner
         for r, (fp, fq) in enumerate(f_off):
-            stn = fine_table[base_i + fp, base_j + fq]  # (m, 3, 3)
+            stn = fine_table[3 * ci + fp, 3 * cj + fq]  # (cells, 3, 3)
             for da in (-1, 0, 1):
                 for db in (-1, 0, 1):
                     tp, tq = fp + da, fq + db
@@ -337,22 +308,17 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
                         a_ff[:, r, f_off.index((tp, tq))] += coeff
                     else:
                         rhs[:, r, :] -= coeff[:, None] * known[:, tp, tq, :]
-        sol = np.linalg.solve(a_ff, rhs)  # (m, 4 points, 4 corners)
-
+        sol = np.linalg.solve(a_ff, rhs)  # (cells, 4 points, 4 corners)
         for c, (cp, cq) in enumerate(corners):
-            wi = ci + cp // 3
-            wj = cj + cq // 3
             for r, (fp, fq) in enumerate(f_off):
-                off_i = base_i + fp - 3 * wi + 3
-                off_j = base_j + fq - 3 * wj + 3
-                p[wi, wj, off_i, off_j] = sol[:, r, c]
+                p[ci + cp // 3, cj + cq // 3, fp - cp + 3, fq - cq + 3] = sol[:, r, c]
 
     # Hanging fine targets interpolate d-linearly instead.
     if hanging is not None:
         np.copyto(p, geometric_prolongation(), where=_windows(hanging))
 
     # Drop weights pointing outside the fine grid.
-    np.copyto(p, 0.0, where=~_windows(np.ones((nf + 1, nf + 1), dtype=bool)))
+    np.copyto(p, 0.0, where=~_windows(np.ones((3 * nc + 1, 3 * nc + 1), dtype=bool)))
     return p
 
 

@@ -96,8 +96,8 @@ def dense_bilinear_p(coarse: DenseLevel, fine: DenseLevel) -> np.ndarray:
     return p
 
 
-def dense_boxmg_p(coarse: DenseLevel, fine: DenseLevel) -> np.ndarray:
-    """Collapsed-stencil interpolation built from the raw fine matrix.
+def dense_boxmg_p(coarse: DenseLevel, fine: DenseLevel, a: np.ndarray) -> np.ndarray:
+    """Collapsed-stencil interpolation built from the fine matrix a.
 
     Independent loop implementation: identity on c-points, lumped 1D solves
     on coarse-face points (lumping along the face normal), exact local 4x4
@@ -112,7 +112,7 @@ def dense_boxmg_p(coarse: DenseLevel, fine: DenseLevel) -> np.ndarray:
     def lump(i, j, normal_axis):
         # sum the row over the normal direction; index by the tangential one
         out = np.zeros(3)
-        row = fine.a_raw[fine.idx(i, j)]
+        row = a[fine.idx(i, j)]
         for da in (-1, 0, 1):
             for db in (-1, 0, 1):
                 ii, jj = i + da, j + db
@@ -154,7 +154,7 @@ def dense_boxmg_p(coarse: DenseLevel, fine: DenseLevel) -> np.ndarray:
             a_ff = np.zeros((4, 4))
             rhs = np.zeros((4, 4))
             for r, (i, j) in enumerate(f_pts):
-                row = fine.a_raw[fine.idx(i, j)]
+                row = a[fine.idx(i, j)]
                 for da in (-1, 0, 1):
                     for db in (-1, 0, 1):
                         t = fine.idx(i + da, j + db)
@@ -196,7 +196,10 @@ class DenseHierarchy:
         for l in range(lmax - 1, lmin - 1, -1):
             coarse, fine = self.levels[l], self.levels[l + 1]
             if flavor == "boxmg":
-                self.p[l] = dense_boxmg_p(coarse, fine)
+                # collapse the finer level's final operator, as BoxMG does:
+                # Galerkin rows inside, rediscretized rows on the boundary
+                a_fine = np.where(fine.interior[:, None], fine.a, fine.a_raw)
+                self.p[l] = dense_boxmg_p(coarse, fine, a_fine)
                 self.levels[l].a = self._galerkin(l)
                 d = np.where(coarse.interior, np.diag(self.levels[l].a), 1.0)
                 self.levels[l].inv_diag = np.where(coarse.interior, 1.0 / d, 0.0)
@@ -211,9 +214,6 @@ class DenseHierarchy:
         p = self.p[l]
         a_c = p.T @ fine_a @ p
         return np.where(self.levels[l].interior[:, None], a_c, 0.0)
-
-    def restriction(self, l: int) -> np.ndarray:
-        return self.p[l].T
 
     def injection(self, l: int) -> np.ndarray:
         """Coarse-from-fine picking matrix at coinciding vertices."""
@@ -324,50 +324,34 @@ def dense_cycle(h: DenseHierarchy, variant: str, u: np.ndarray,
             out += h.prolong_chain(c, l)
         return out
 
-    if variant == "multiplicative-v10":
-        if h.lmax - h.lmin != 1:
-            raise ValueError("two-grid reference only")
+    if variant in ("multiplicative-v10", "additive-exact-coarse"):
         sm = u + h.omega * fine.inv_diag * r
-        coarse = h.levels[h.lmin]
-        rc = h.p[h.lmin].T @ (b - fine.a @ sm)
-        mask = coarse.interior
-        c = np.zeros(coarse.nv)
-        c[mask] = np.linalg.solve(coarse.a[np.ix_(mask, mask)], rc[mask])
-        return sm + h.p[h.lmin] @ c
-
-    if variant == "additive-exact-coarse":
-        if h.lmax - h.lmin != 1:
-            raise ValueError("two-grid reference only")
-        sm = u + h.omega * fine.inv_diag * r
-        coarse = h.levels[h.lmin]
-        rc = h.p[h.lmin].T @ r
-        mask = coarse.interior
-        c = np.zeros(coarse.nv)
-        c[mask] = np.linalg.solve(coarse.a[np.ix_(mask, mask)], rc[mask])
-        return sm + h.p[h.lmin] @ c
+        res = b - fine.a @ sm if variant == "multiplicative-v10" else r
+        return sm + _coarse_correction(h, res)
 
     raise ValueError(f"unknown dense cycle variant {variant!r}")
+
+
+def _coarse_correction(h: DenseHierarchy, res: np.ndarray) -> np.ndarray:
+    """The exact two-grid coarse correction P A_c^-1 R res."""
+    if h.lmax - h.lmin != 1:
+        raise ValueError("two-grid reference only")
+    coarse = h.levels[h.lmin]
+    mask = coarse.interior
+    rc = h.p[h.lmin].T @ res
+    c = np.zeros(coarse.nv)
+    c[mask] = np.linalg.solve(coarse.a[np.ix_(mask, mask)], rc[mask])
+    return h.p[h.lmin] @ c
 
 
 def eq5_difference(h: DenseHierarchy, u: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Literal right-hand side of the overshoot identity on two grids:
     P A_c^-1 R (b - A[u + w M^-1 (b - A u)]) - P A_c^-1 R (b - A u)."""
-    if h.lmax - h.lmin != 1:
-        raise ValueError("two-grid identity only")
     fine = h.fine()
-    coarse = h.levels[h.lmin]
     b = np.zeros(fine.nv) if b is None else b
     r = b - fine.a @ u
     sm = u + h.omega * fine.inv_diag * r
-    mask = coarse.interior
-
-    def coarse_solve(res_f):
-        rc = h.p[h.lmin].T @ res_f
-        c = np.zeros(coarse.nv)
-        c[mask] = np.linalg.solve(coarse.a[np.ix_(mask, mask)], rc[mask])
-        return h.p[h.lmin] @ c
-
-    return coarse_solve(b - fine.a @ sm) - coarse_solve(r)
+    return _coarse_correction(h, b - fine.a @ sm) - _coarse_correction(h, r)
 
 
 def two_grid_spectral_radius(h: DenseHierarchy, variant: str, iters: int = 200,

@@ -79,7 +79,7 @@ from .spacetree import (
     vertex_offsets,
 )
 
-__all__ = ["PipelineEngine", "sweep_count_for_cycles"]
+__all__ = ["PipelineEngine"]
 
 HELPERS = ("sl", "sc", "sf", "b", "bt_r", "bt_w", "acc_au", "tco_r", "tco_w")
 
@@ -88,13 +88,6 @@ HELPERS = ("sl", "sc", "sf", "b", "bt_r", "bt_w", "acc_au", "tco_r", "tco_w")
 # without equation, a hanging, a composite or a coarse-overlapped vertex
 (ENTER, FIRST_HANGING, FIRST_DIRICHLET, FIRST_DOF, FIRST_DAMPED,
  LAST_NONE, LAST_HANGING, LAST_COMPOSITE, LAST_OVERLAPPED) = range(9)
-
-
-def sweep_count_for_cycles(n: int) -> int:
-    """Tree traversals needed for n cycles: one per cycle plus kick-off."""
-    if n < 0:
-        raise ValueError("cycle count must be non-negative")
-    return n + 1
 
 
 def _ragged(keep: np.ndarray, *cols: np.ndarray) -> list[list]:
@@ -123,7 +116,6 @@ class PipelineEngine(ReferenceEngine):
             raise ValueError(
                 f"pipelined engine supports {PIPELINE_VARIANTS}, not {cfg.variant!r}")
         self.child_order = child_order
-        self._swept = False
         self.last_snapshot = None
         self.last_counters = None
         self._lists = None
@@ -156,7 +148,6 @@ class PipelineEngine(ReferenceEngine):
     def reset_helpers(self) -> None:
         self._lists = None
         self._store.fill(0.0)
-        self._swept = False
 
     def _flush(self) -> None:
         """Write the helper lists back to the store and drop them."""
@@ -277,16 +268,6 @@ class PipelineEngine(ReferenceEngine):
 
     # -- sweep ---------------------------------------------------------------
 
-    def sweep(self, phase: str, **kw):
-        """Explicit-phase entry point; steady sweeps need a kick-off first."""
-        if phase not in ("kickoff", "steady"):
-            raise ValueError(f"unknown sweep phase {phase!r}")
-        if phase == "steady" and not self._swept:
-            raise RuntimeError("steady sweep requested before kick-off")
-        if phase == "kickoff" and self._swept:
-            raise RuntimeError("kick-off requested on already-running pipeline")
-        return self.advance(**kw)
-
     def advance(self, capture_iterate: bool = False, count_touches: bool = False):
         if self._plan is None:
             self._plan = self._compile()
@@ -396,7 +377,6 @@ class PipelineEngine(ReferenceEngine):
             snap = np.array(snap)
             snap = {l: snap[off[l]:off[l + 1]].reshape(tree.u[l].shape)
                     for l in range(l0, ltop + 1)}
-        self._swept = True
         self.last_snapshot = snap
         self.last_counters = counters
         stats = self._new_stats()

@@ -4,8 +4,11 @@ import pytest
 from treemg.discretization import (
     CORNER_OFFSETS,
     ELEMENT_MATRIX_UNIT,
+    epsilon_cells,
     half_domain_jump,
     interior_stencil,
+    needle_inclusion,
+    skew_checkerboard,
 )
 from treemg.operators import (
     GEOMETRIC_RTILDE,
@@ -20,7 +23,7 @@ from treemg.operators import (
     ritz_galerkin_coarse,
     smoothed_restriction_table,
 )
-from treemg.oracle import build_hierarchy
+from treemg.oracle import DenseLevel, build_hierarchy, dense_boxmg_p
 from treemg.spacetree import VertexKind, build_regular
 
 # Regression values of the smoothed restriction for eps = 1, omega = 1.
@@ -467,20 +470,41 @@ def test_smoothed_restriction_table_matches_per_vertex_composition(flavor):
                           smoothed_table_by_definition(p, 0.6))
 
 
+def dense_p_table(p: np.ndarray, coarse, fine) -> np.ndarray:
+    """A dense prolongation matrix (fine x coarse vertices) in the
+    (nc+1, nc+1, 7, 7) transfer-table layout."""
+    nc = coarse.n
+    p_tbl = np.zeros((nc + 1, nc + 1, 7, 7))
+    for ci in range(nc + 1):
+        for cj in range(nc + 1):
+            for oi in range(-3, 4):
+                for oj in range(-3, 4):
+                    fi, fj = 3 * ci + oi, 3 * cj + oj
+                    if 0 <= fi <= fine.n and 0 <= fj <= fine.n:
+                        p_tbl[ci, cj, oi + 3, oj + 3] = p[fine.idx(fi, fj), coarse.idx(ci, cj)]
+    return p_tbl
+
+
+@pytest.mark.parametrize("l", [1, 2])
+@pytest.mark.parametrize("field", [skew_checkerboard(3), needle_inclusion(3)],
+                         ids=["skew-k3", "needle-k3"])
+def test_boxmg_prolongation_matches_dense_oracle(field, l):
+    """Both edge directions and the interior solve match the loop-based
+    oracle on fields that vary along both axes."""
+    coarse, fine = DenseLevel(l, field), DenseLevel(l + 1, field)
+    want = dense_p_table(dense_boxmg_p(coarse, fine, fine.a_raw), coarse, fine)
+    got = boxmg_prolongation(assemble_stencil_table(epsilon_cells(field, l + 1)),
+                             np.ones((3**l, 3**l), dtype=bool))
+    assert np.abs(got - want).max() < 1e-12
+
+
 def test_probed_ritz_galerkin_matches_dense_oracle():
     h = build_hierarchy(1, 3, half_domain_jump(3), flavor="boxmg")
     for l in (1, 2):
         coarse, fine = h.levels[l], h.levels[l + 1]
         nc = coarse.n
         # the dense operators in the stencil-table layouts
-        p_tbl = np.zeros((nc + 1, nc + 1, 7, 7))
-        for ci in range(nc + 1):
-            for cj in range(nc + 1):
-                for oi in range(-3, 4):
-                    for oj in range(-3, 4):
-                        fi, fj = 3 * ci + oi, 3 * cj + oj
-                        if 0 <= fi <= fine.n and 0 <= fj <= fine.n:
-                            p_tbl[ci, cj, oi + 3, oj + 3] = h.p[l][fine.idx(fi, fj), coarse.idx(ci, cj)]
+        p_tbl = dense_p_table(h.p[l], coarse, fine)
         a_tbl = np.zeros((fine.n + 1, fine.n + 1, 3, 3))
         for i in range(fine.n + 1):
             for j in range(fine.n + 1):

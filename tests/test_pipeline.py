@@ -5,7 +5,7 @@ import pytest
 
 from treemg.discretization import constant_field, half_domain_jump
 from treemg.operators import geometric_prolongation
-from treemg.pipeline import ENTER, PipelineEngine, sweep_count_for_cycles
+from treemg.pipeline import ENTER, PipelineEngine
 from treemg.solvers import ReferenceEngine, SolverConfig
 from treemg.spacetree import LEX_CHILD_ORDER, VertexKind, build_regular
 
@@ -86,27 +86,6 @@ def test_single_touch_instrumentation():
     assert max(counters.stores.values()) == 1
     # every persistent vertex loaded and stored exactly once
     assert set(counters.loads) == set(counters.stores)
-
-
-def test_sweep_count_for_cycles():
-    assert sweep_count_for_cycles(0) == 1
-    assert sweep_count_for_cycles(1) == 2
-    assert sweep_count_for_cycles(40) == 41
-    with pytest.raises(ValueError):
-        sweep_count_for_cycles(-1)
-
-
-def test_phase_protocol():
-    tree = build_regular(2)
-    eng = PipelineEngine(tree, SolverConfig(variant="additive"))
-    with pytest.raises(RuntimeError):
-        eng.sweep("steady")
-    eng.sweep("kickoff")
-    eng.sweep("steady")
-    with pytest.raises(RuntimeError):
-        eng.sweep("kickoff")
-    eng.reset_helpers()
-    eng.sweep("kickoff")
 
 
 def test_zero_data_stays_zero():

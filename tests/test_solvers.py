@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treemg.discretization import constant_field, half_domain_jump
+from treemg.discretization import constant_field, half_domain_jump, needle_inclusion
 from treemg.oracle import build_hierarchy, dense_cycle, exact_solve
 from treemg.pipeline import PipelineEngine
 from treemg.solvers import (
@@ -56,13 +56,16 @@ def test_engine_matches_dense_multiplicative():
     assert np.abs(fine_vec(tree, eng) - want).max() < 1e-12
 
 
-@pytest.mark.parametrize("variant, flavor", [
-    pytest.param(v, f, id=v if f == "geometric" else f"{v}-{f}")
-    for f in ("geometric", "boxmg") for v in ("additive", "adafac-pi", "adafac-jac")])
-def test_engine_matches_dense_three_grid(variant, flavor):
-    tree, eng = make_engine(3, variant=variant, flavor=flavor)
+@pytest.mark.parametrize("variant, flavor, field", [
+    pytest.param(v, f, field, id="-".join(s for s in (v, f if f == "boxmg" else "", name) if s))
+    for f, name, field in (("geometric", "", POISSON), ("boxmg", "", POISSON),
+                           ("boxmg", "half-jump-k3", half_domain_jump(3)),
+                           ("boxmg", "needle-k3", needle_inclusion(3)))
+    for v in ("additive", "adafac-pi", "adafac-jac")])
+def test_engine_matches_dense_three_grid(variant, flavor, field):
+    tree, eng = make_engine(3, field=field, variant=variant, flavor=flavor)
     randomize(tree, eng, seed=7)
-    h = build_hierarchy(1, 3, POISSON, flavor=flavor)
+    h = build_hierarchy(1, 3, field, flavor=flavor)
     want = dense_cycle(h, variant, fine_vec(tree, eng))
     eng.advance()
     assert np.abs(fine_vec(tree, eng) - want).max() < 1e-12
