@@ -16,13 +16,16 @@ the level and on its transposed views, writing straight into P, and the
 interior solves read their boundary weights back from P.
 
 The auxiliary damping solver additionally needs a smoothed restriction
-R~ = omega * R A diag(A)^-1, composed as stencils and truncated to the 7x7
-footprint of the tripartitioning transfer operators.  It is built from the
-unit-coefficient operator on every level, which removes the material
-parameter from the damping term on elements with constant coefficient.
-One builder, smoothed_restriction_table, composes it from either flavour's
-P: a per-vertex table for boxmg, and once at import the 7x7 geometric
-stencil GEOMETRIC_RTILDE for omega = 1, which the engines scale by omega.
+R~ = omega * R A diag(A)^-1, composed as stencils.  The composition spans
+9x9 fine offsets, but its outer ring is empty, because every P here has no
+weight at offsets +-3 (ritz_galerkin_coarse and smoothed_restriction_table
+raise otherwise); so R~ fits the 7x7 footprint of the tripartitioning
+transfer operators exactly.  It is built from the unit-coefficient
+operator on every level, which removes the material parameter from the
+damping term on elements with constant coefficient.  One function,
+smoothed_restriction_table, composes it from either flavour's P: a
+per-vertex table for boxmg, and once at import the 7x7 geometric stencil
+GEOMETRIC_RTILDE for omega = 1, which the engines scale by omega.
 
 Level operators are ElementOperators, whose apply runs one element loop
 for any coefficient field, or TableOperators of explicit stencils (the
@@ -34,9 +37,14 @@ d-linear transfers, ElementOperator.apply and the geometric TransferOps)
 take C-contiguous fields and return new C-contiguous arrays, so that the
 elementwise passes that mix their results with level fields walk memory
 in order.  Stencil tables are (n+1, n+1, 3, 3) with table[i, j, a, b]
-coupling vertex (i, j) to (i+a-1, j+b-1).  Transfer tables are
-(nc+1, nc+1, 7, 7) with table[i, j, a, b] the weight between coarse
-vertex (i, j) and fine vertex (3i+a-3, 3j+b-3).
+coupling vertex (i, j) to (i+a-1, j+b-1).  They are stored offset-major:
+assemble_stencil_table and ritz_galerkin_coarse fill a C-contiguous
+(3, 3, n+1, n+1) array of offset planes and return its transpose(2, 3, 0,
+1) view, so that the kernels, which work one offset at a time, read
+contiguous planes.  Transfer tables are C-contiguous (nc+1, nc+1, 7, 7)
+with table[i, j, a, b] the weight between coarse vertex (i, j) and fine
+vertex (3i+a-3, 3j+b-3); einsum sums their contractions in an order set
+by the strides, so this layout is part of the results.
 
 The table transfers work on whole levels.  Restriction by a P table, and
 the smoothed R~ of both flavours (one 7x7 stencil for the geometric one),
@@ -166,11 +174,16 @@ class ElementOperator:
 
 
 class TableOperator:
-    """Operator stored as an explicit per-vertex 3x3 stencil table."""
+    """Operator stored as an explicit per-vertex 3x3 stencil table.
+
+    table is indexed [i, j, a, b]; apply and diag read its offset planes
+    table.transpose(2, 3, 0, 1), which are contiguous for the offset-major
+    tables of assemble_stencil_table and ritz_galerkin_coarse."""
 
     def __init__(self, table: np.ndarray):
         self.tbl = table
         self.n = table.shape[0] - 1
+        self._planes = table.transpose(2, 3, 0, 1)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         n = self.n
@@ -181,30 +194,31 @@ class TableOperator:
                 src_j = slice(max(0, b - 1), n + 1 + min(0, b - 1))
                 dst_i = slice(max(0, 1 - a), n + 1 + min(0, 1 - a))
                 dst_j = slice(max(0, 1 - b), n + 1 + min(0, 1 - b))
-                out[dst_i, dst_j] += self.tbl[dst_i, dst_j, a, b] * x[src_i, src_j]
+                out[dst_i, dst_j] += self._planes[a, b, dst_i, dst_j] * x[src_i, src_j]
         return out
 
     def diag(self) -> np.ndarray:
-        return self.tbl[:, :, 1, 1]
+        return self._planes[1, 1]
 
     def table(self) -> np.ndarray:
         return self.tbl
 
 
 def assemble_stencil_table(eps: np.ndarray) -> np.ndarray:
-    """Per-vertex stencils summed from adjacent element matrices.
+    """Per-vertex stencils summed from adjacent element matrices, as an
+    offset-major table.
 
     Vertices next to missing cells (boundary, hanging) receive the
     truncated rows of their remaining elements.
     """
     n = eps.shape[0]
-    tbl = np.zeros((n + 1, n + 1, 3, 3))
+    planes = np.zeros((3, 3, n + 1, n + 1))
     for a, (a0, a1) in enumerate(CORNER_OFFSETS):
         for b, (b0, b1) in enumerate(CORNER_OFFSETS):
-            tbl[a0 : a0 + n, a1 : a1 + n, b0 - a0 + 1, b1 - a1 + 1] += (
+            planes[b0 - a0 + 1, b1 - a1 + 1, a0 : a0 + n, a1 : a1 + n] += (
                 ELEMENT_MATRIX_UNIT[a, b] * eps
             )
-    return tbl
+    return planes.transpose(2, 3, 0, 1)
 
 
 # -- operator-dependent prolongation ----------------------------------------
@@ -254,11 +268,12 @@ def _face_points(fine_table: np.ndarray, refined: np.ndarray, p: np.ndarray) -> 
     active = np.zeros((refined.shape[0], refined.shape[1] + 1), dtype=bool)
     active[:, 1:] |= refined
     active[:, :-1] |= refined
-    g1 = fine_table[1::3, ::3].sum(axis=3)  # (nc, nc+1, 3) lumped over the normal
-    g2 = fine_table[2::3, ::3].sum(axis=3)
+    # the stencils of the two face points, lumped over offset b in the
+    # order b = 0, 1, 2 whatever the table's layout
+    lumped = [t[..., a, 0] + t[..., a, 1] + t[..., a, 2]
+              for t in (fine_table[1::3, ::3], fine_table[2::3, ::3]) for a in range(3)]
     p[:-1, :, 4, 3], p[:-1, :, 5, 3], p[1:, :, 1, 3], p[1:, :, 2, 3] = _solve_gamma(
-        g1[..., 0], g1[..., 1], g1[..., 2], g2[..., 0], g2[..., 1], g2[..., 2], active
-    )
+        *lumped, active)
 
 
 def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
@@ -276,7 +291,8 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
     replaced by the d-linear ones, matching the interpolation used for
     hanging-vertex values.
 
-    Returns a (nc+1, nc+1, 7, 7) table of weights at fine offsets -3..3.
+    Returns a C-contiguous (nc+1, nc+1, 7, 7) table of weights at fine
+    offsets -3..3.
     """
     nc = refined.shape[0]
     p = np.zeros((nc + 1, nc + 1, 7, 7))
@@ -289,36 +305,50 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
     # cell's boundary points.  Patch-local coordinates (tp, tq) run over
     # 0..3; corner (cp, cq) of cell (ci, cj) is coarse vertex (ci + cp//3,
     # cj + cq//3), whose weight at patch point (tp, tq) is its P entry at
-    # offset (tp - cp, tq - cq).
+    # offset (tp - cp, tq - cq).  a_ff and rhs keep one row per matrix
+    # entry, [point, point or corner, cell]; P and the fine stencil planes
+    # are read and written through flat indices.
     ci, cj = np.nonzero(refined)
     if ci.size:
         f_off = ((1, 1), (2, 1), (1, 2), (2, 2))
         corners = ((0, 0), (3, 0), (0, 3), (3, 3))
-        known = np.stack([p[ci + cp // 3, cj + cq // 3, 3 - cp : 7 - cp, 3 - cq : 7 - cq]
-                          for cp, cq in corners], axis=-1)  # [cell, tp, tq, corner]
-        a_ff = np.zeros((ci.size, 4, 4))
-        rhs = np.zeros((ci.size, 4, 4))  # one column per corner
+        rim = [(tp, tq) for tp in range(4) for tq in range(4) if (tp, tq) not in f_off]
+
+        def slots(points):
+            # [point, corner]: flat offset in p of each corner's weight at
+            # the patch points, from the start of the cell's vertex (ci, cj)
+            return np.array([[((cp // 3) * (nc + 1) + cq // 3) * 49
+                              + (tp - cp + 3) * 7 + tq - cq + 3
+                              for cp, cq in corners] for tp, tq in points])
+
+        pf = p.reshape(-1)
+        cell = (ci * (nc + 1) + cj) * 49
+        known = pf[slots(rim)[:, :, None] + cell]  # [rim point, corner, cell]
+        planes = fine_table.transpose(2, 3, 0, 1).reshape(9, -1)
+        a_ff = np.zeros((4, 4, ci.size))
+        rhs = np.zeros((4, 4, ci.size))  # one row per corner
         for r, (fp, fq) in enumerate(f_off):
-            stn = fine_table[3 * ci + fp, 3 * cj + fq]  # (cells, 3, 3)
-            for da in (-1, 0, 1):
-                for db in (-1, 0, 1):
-                    tp, tq = fp + da, fq + db
-                    coeff = stn[:, da + 1, db + 1]
-                    if (tp, tq) in f_off:
-                        a_ff[:, r, f_off.index((tp, tq))] += coeff
-                    else:
-                        rhs[:, r, :] -= coeff[:, None] * known[:, tp, tq, :]
-        sol = np.linalg.solve(a_ff, rhs)  # (cells, 4 points, 4 corners)
-        for c, (cp, cq) in enumerate(corners):
-            for r, (fp, fq) in enumerate(f_off):
-                p[ci + cp // 3, cj + cq // 3, fp - cp + 3, fq - cq + 3] = sol[:, r, c]
+            stn = planes[:, (3 * ci + fp) * (3 * nc + 1) + 3 * cj + fq]  # [offset, cell]
+            for d, (da, db) in enumerate(np.ndindex(3, 3)):
+                tp, tq = fp + da - 1, fq + db - 1
+                if (tp, tq) in f_off:
+                    a_ff[r, f_off.index((tp, tq))] += stn[d]
+                else:
+                    rhs[r] -= stn[d] * known[rim.index((tp, tq))]
+        # [cell, point, corner]
+        sol = np.linalg.solve(a_ff.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
+        pf[cell[:, None, None] + slots(f_off)] = sol
 
     # Hanging fine targets interpolate d-linearly instead.
-    if hanging is not None:
+    if hanging is not None and hanging.any():
         np.copyto(p, geometric_prolongation(), where=_windows(hanging))
 
-    # Drop weights pointing outside the fine grid.
-    np.copyto(p, 0.0, where=~_windows(np.ones((3 * nc + 1, 3 * nc + 1), dtype=bool)))
+    # Drop weights pointing outside the fine grid: below offset 0 from the
+    # first coarse row or column, above it from the last.
+    p[0, :, :3] = 0.0
+    p[-1, :, 4:] = 0.0
+    p[:, 0, :, :3] = 0.0
+    p[:, -1, :, 4:] = 0.0
     return p
 
 
@@ -366,8 +396,14 @@ def _prolong_blocks(coarse: np.ndarray, blocks) -> np.ndarray:
     return fine[3 : 3 * nc + 4, 3 : 3 * nc + 4]
 
 
-def ritz_galerkin_coarse(fine_table_masked: np.ndarray, p_table: np.ndarray) -> np.ndarray:
-    """Coarse stencil table A_c = R A P from fine stencils and P weights.
+def _require_no_weight_at_three(p_table: np.ndarray) -> None:
+    if p_table[..., ::6, :].any() or p_table[..., ::6].any():
+        raise ValueError("prolongation weights at offsets +-3 must vanish")
+
+
+def ritz_galerkin_coarse(fine_table_masked: np.ndarray, transfer: TransferOps) -> np.ndarray:
+    """Coarse stencil table A_c = R A P from fine stencils and the table
+    transfers of P (transfer.p_table), as an offset-major table.
 
     fine_table_masked must have rows zeroed at vertices without test
     functions (Dirichlet, hanging); restriction only gathers residuals from
@@ -380,55 +416,62 @@ def ritz_galerkin_coarse(fine_table_masked: np.ndarray, p_table: np.ndarray) -> 
     Entries towards vertices outside the grid come out zero, as no vertex
     of their colour lies within reach.
     """
-    if p_table[:, :, ::6].any() or p_table[:, :, :, ::6].any():
-        raise ValueError("prolongation weights at offsets +-3 must vanish")
+    p_table = transfer.p_table
+    _require_no_weight_at_three(p_table)
     nc = p_table.shape[0] - 1
-    blocks = _p_blocks(p_table)
     op = TableOperator(fine_table_masked)
     probed = np.empty((3, 3, nc + 1, nc + 1))
     for ci in range(3):
         for cj in range(3):
             e = np.zeros((nc + 1, nc + 1))
             e[ci::3, cj::3] = 1.0
-            ape = op.apply(_prolong_blocks(e, blocks))
+            ape = op.apply(_prolong_blocks(e, transfer._blocks))
             probed[ci, cj] = _contract_windows(ape, p_table)
     v = np.arange(nc + 1)
-    out = np.empty((nc + 1, nc + 1, 3, 3))
+    planes = np.empty((3, 3, nc + 1, nc + 1))
     for a in range(3):
         for b in range(3):
             colour_i = ((v + a - 1) % 3)[:, None]
             colour_j = ((v + b - 1) % 3)[None, :]
-            out[:, :, a, b] = probed[colour_i, colour_j, v[:, None], v[None, :]]
-    return out
+            planes[a, b] = probed[colour_i, colour_j, v[:, None], v[None, :]]
+    return planes.transpose(2, 3, 0, 1)
 
 
 # -- smoothed auxiliary restriction -----------------------------------------
+
+# Coarse vertices per block of smoothed_restriction_table: about 200 kB of
+# weights, so that the nine passes over a block stay in cache.
+_RTILDE_BLOCK = 512
 
 
 def smoothed_restriction_table(p_table: np.ndarray, omega: float) -> np.ndarray:
     """Smoothed restriction weights omega * R A diag(A)^-1.
 
     Composes the given restriction weights (transpose of p_table, an
-    (nc+1, nc+1, 7, 7) table or one (7, 7) stencil) with A diag(A)^-1 of
-    the unit-coefficient operator, and returns an array shaped like
-    p_table.  The composition lives on a 9x9 footprint; it is truncated to
-    the 7x7 transfer footprint without renormalizing.
+    (nc+1, nc+1, 7, 7) table or one (7, 7) stencil, with no weight at
+    offsets +-3) with A diag(A)^-1 of the unit-coefficient operator, and
+    returns a C-contiguous array shaped like p_table.  The composition
+    lives on a 9x9 footprint, whose outer ring stays empty because P has no
+    weight at offsets +-3; so it fits the 7x7 transfer footprint exactly.
+
+    Entry t sums c[s] * p[t + 1 - s], c = A diag(A)^-1, over s descending
+    (sources in lexicographic order).  On the row-major 7x7 weights of a
+    vertex each s is one flat shift, so one pass over a block of vertices;
+    the zero weights at offsets +-3 it moves across rows add nothing.
     """
-    a1 = interior_stencil(1.0)
-    out = np.zeros(p_table.shape)
-    for ji in range(7):
-        for jj in range(7):
-            w = p_table[..., ji, jj]
-            if not np.any(w):
-                continue
-            for si in range(3):
-                for sj in range(3):
-                    ti, tj = ji + si - 1, jj + sj - 1
-                    if not (0 <= ti < 7 and 0 <= tj < 7):
-                        continue
-                    out[..., ti, tj] += w * (a1[si, sj] * (3.0 / 8.0))
-    out *= omega
-    return out
+    _require_no_weight_at_three(p_table)
+    c = interior_stencil(1.0) * (3.0 / 8.0)
+    rows = p_table.reshape(-1, 49)
+    out = np.zeros(rows.shape)
+    for k in range(0, rows.shape[0], _RTILDE_BLOCK):
+        src = rows[k : k + _RTILDE_BLOCK].reshape(-1)[8:-8]
+        dst = out[k : k + _RTILDE_BLOCK].reshape(-1)
+        for si in (2, 1, 0):
+            for sj in (2, 1, 0):
+                shift = 7 * (si - 1) + sj - 1
+                dst[8 + shift : dst.size - 8 + shift] += src * c[si, sj]
+        dst *= omega
+    return out.reshape(p_table.shape)
 
 
 # The geometric R~ for omega = 1, shared and so read-only; the engines
@@ -444,9 +487,10 @@ class TransferOps:
     """Transfer operators between one coarse level and the next finer one.
 
     With p_table None, prolongation and restriction are the separable
-    d-linear kernels; otherwise the per-vertex weight tables.  Restriction
-    is always the transpose of prolongation and accumulates (it never
-    averages).
+    d-linear kernels; otherwise the per-vertex weight tables, whose blocks
+    for prolongation (_p_blocks) are built once here and also serve the
+    probes of ritz_galerkin_coarse.  Restriction is always the transpose
+    of prolongation and accumulates (it never averages).
 
     rtilde holds the smoothed restriction weights, a (7, 7) stencil (a
     multiple of GEOMETRIC_RTILDE) or an (nc+1, nc+1, 7, 7) table, both from

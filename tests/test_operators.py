@@ -265,7 +265,7 @@ def test_ritz_galerkin_unit_coefficient_equals_rediscretization():
     masked = tbl.copy()
     masked[0, :] = masked[-1, :] = 0.0
     masked[:, 0] = masked[:, -1] = 0.0
-    coarse = ritz_galerkin_coarse(masked, geometric_p_table(nc))
+    coarse = ritz_galerkin_coarse(masked, TransferOps(geometric_p_table(nc), None))
     want = assemble_stencil_table(np.ones((nc, nc)))
     interior = np.s_[1:-1, 1:-1]
     assert np.abs(coarse[interior] - want[interior]).max() < 1e-12
@@ -279,7 +279,7 @@ def test_ritz_galerkin_differs_from_rediscretization_under_jump():
     masked = assemble_stencil_table(eps)
     masked[0, :] = masked[-1, :] = 0.0
     masked[:, 0] = masked[:, -1] = 0.0
-    coarse = ritz_galerkin_coarse(masked, geometric_p_table(nc))
+    coarse = ritz_galerkin_coarse(masked, TransferOps(geometric_p_table(nc), None))
     mids_c = (np.arange(nc) + 0.5) / nc
     eps_c = np.where(mids_c[:, None] > 0.5, 0.1, 1.0) * np.ones((1, nc))
     redisc = assemble_stencil_table(eps_c)
@@ -439,13 +439,13 @@ def test_geometric_restrict_smoothed_matches_constant_stencil():
     assert np.allclose(got, want, atol=1e-13)
 
 
-def smoothed_table_by_definition(p, omega):
+def smoothed_canvas_by_definition(p, omega):
     """R~[v, j + s] = omega * sum_j p[v, j] A1[s] / diag(A1) for the
     unit-coefficient operator A1, one vertex at a time, sources j in
-    lexicographic order, truncated to the 7x7 offsets."""
+    lexicographic order, on the whole 9x9 footprint of offsets -4..4."""
     nc = p.shape[0] - 1
     a1 = interior_stencil(1.0)
-    out = np.zeros((nc + 1, nc + 1, 7, 7))
+    out = np.zeros((nc + 1, nc + 1, 9, 9))
     for vi in range(nc + 1):
         for vj in range(nc + 1):
             for ji in range(-3, 4):
@@ -453,11 +453,43 @@ def smoothed_table_by_definition(p, omega):
                     for si in range(3):
                         for sj in range(3):
                             ti, tj = ji + si - 1, jj + sj - 1
-                            if not (-3 <= ti <= 3 and -3 <= tj <= 3):
-                                continue
                             w = p[vi, vj, ji + 3, jj + 3]
-                            out[vi, vj, ti + 3, tj + 3] += w * (a1[si, sj] * (3.0 / 8.0))
+                            out[vi, vj, ti + 4, tj + 4] += w * (a1[si, sj] * (3.0 / 8.0))
     return out * omega
+
+
+def smoothed_table_by_definition(p, omega):
+    """The 7x7 offsets -3..3 of smoothed_canvas_by_definition.  For a P
+    with no weight at offsets +-3 this is all of the composition (see
+    test_smoothed_composition_leaves_outer_ring_empty)."""
+    return smoothed_canvas_by_definition(p, omega)[:, :, 1:-1, 1:-1]
+
+
+@pytest.mark.parametrize("flavor, partial", [("geometric", False), ("boxmg", False),
+                                             ("boxmg", True)])
+def test_smoothed_composition_leaves_outer_ring_empty(flavor, partial):
+    """P has no weight at offsets +-3, so the 9x9 composition of R~ is zero
+    on its outer ring and the 7x7 table drops nothing."""
+    nc = 9
+    p = geometric_p_table(nc) if flavor == "geometric" else boxmg_level(nc, partial)[0]
+    assert not p[:, :, ::6].any() and not p[:, :, :, ::6].any()
+    canvas = smoothed_canvas_by_definition(p, 0.6)
+    ring = np.ones((9, 9), dtype=bool)
+    ring[1:-1, 1:-1] = False
+    assert np.abs(canvas[:, :, ring]).max() == 0.0
+    # the ring's neighbours do carry weight, so the footprint is tight
+    assert np.abs(canvas[:, :, 1, 1:-1]).max() > 0.0
+
+
+def test_smoothed_restriction_rejects_weights_at_offset_three():
+    p = np.ascontiguousarray(geometric_p_table(3))
+    p[2, 1, 3, 6] = 0.25
+    with pytest.raises(ValueError):
+        smoothed_restriction_table(p, 0.6)
+    geo = geometric_prolongation()
+    geo[0, 3] = 0.5
+    with pytest.raises(ValueError):
+        smoothed_restriction_table(geo, 1.0)
 
 
 @pytest.mark.parametrize("flavor", ["geometric", "boxmg"])
@@ -513,7 +545,7 @@ def test_probed_ritz_galerkin_matches_dense_oracle():
                         ti, tj = i + a - 1, j + b - 1
                         if 0 <= ti <= fine.n and 0 <= tj <= fine.n:
                             a_tbl[i, j, a, b] = fine.a[fine.idx(i, j), fine.idx(ti, tj)]
-        rap = ritz_galerkin_coarse(a_tbl, p_tbl)
+        rap = ritz_galerkin_coarse(a_tbl, TransferOps(p_tbl, None))
         want = h.p[l].T @ fine.a @ h.p[l]
         scale = np.abs(want).max()
         for i in range(nc + 1):
@@ -534,4 +566,31 @@ def test_probed_ritz_galerkin_rejects_weights_at_offset_three():
     p = np.ascontiguousarray(geometric_p_table(3))
     p[1, 1, 0, 3] = 0.5
     with pytest.raises(ValueError):
-        ritz_galerkin_coarse(masked, p)
+        ritz_galerkin_coarse(masked, TransferOps(p, None))
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_stencil_tables_are_offset_major_and_read_in_either_layout():
+    """Stencil tables are stored [a, b, i, j] and indexed [i, j, a, b]; the
+    kernels that read them give bitwise equal results for the same table
+    held C-contiguous."""
+    rng = np.random.default_rng(37)
+    tbl = assemble_stencil_table(epsilon_cells(skew_checkerboard(3), 3))
+    assert tbl.shape == (28, 28, 3, 3)
+    assert tbl.transpose(2, 3, 0, 1).flags.c_contiguous
+    dense = np.ascontiguousarray(tbl)
+    x = rng.standard_normal((28, 28))
+    assert bitwise_equal(TableOperator(tbl).apply(x), TableOperator(dense).apply(x))
+    assert bitwise_equal(TableOperator(tbl).diag(), dense[:, :, 1, 1])
+    refined = rng.random((9, 9)) < 0.6
+    p = boxmg_prolongation(tbl, refined)
+    assert p.flags.c_contiguous
+    assert bitwise_equal(p, boxmg_prolongation(dense, refined))
+    ops = TransferOps(p, None)
+    rap = ritz_galerkin_coarse(tbl, ops)
+    assert rap.transpose(2, 3, 0, 1).flags.c_contiguous
+    assert bitwise_equal(rap, ritz_galerkin_coarse(dense, ops))
+    assert smoothed_restriction_table(p, 0.6).flags.c_contiguous

@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 from treemg.discretization import constant_field, half_domain_jump, needle_inclusion, skew_checkerboard
-from treemg.operators import assemble_stencil_table, boxmg_prolongation, ritz_galerkin_coarse
+from treemg.operators import (
+    TransferOps,
+    assemble_stencil_table,
+    boxmg_prolongation,
+    ritz_galerkin_coarse,
+)
 from treemg.oracle import (
     DenseLevel,
     assemble_dense,
@@ -107,7 +112,7 @@ def test_dense_galerkin_matches_stencil_rap():
     masked = tbl * dofmask[:, :, None, None]
     p_tbl = boxmg_prolongation(tbl, np.ones((3, 3), dtype=bool),
                                tree.vertex_kinds(2) == VertexKind.HANGING)
-    rap = ritz_galerkin_coarse(masked, p_tbl)
+    rap = ritz_galerkin_coarse(masked, TransferOps(p_tbl, None))
     n = 3
     for i in range(1, n):
         for j in range(1, n):

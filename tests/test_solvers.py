@@ -302,3 +302,16 @@ def test_omega_tilde_zero_matches_scaled_damping():
         sa = eng_a.advance()
         sb = eng_b.advance()
     assert not np.allclose(tree_a.u[3], tree_b.u[3], atol=1e-12)
+
+
+def test_boxmg_engine_storage_layouts():
+    """Transfer tables (P and R~) stay C-contiguous (nc+1, nc+1, 7, 7), as
+    the cycle's contractions sum in an order set by their strides; the
+    stencil tables are offset-major."""
+    tree, eng = make_engine(3, half_domain_jump(3), flavor="boxmg")
+    assert sorted(eng.transfers) == [1, 2]
+    for l, tr in eng.transfers.items():
+        assert tr.p_table.shape == (3**l + 1, 3**l + 1, 7, 7)
+        assert tr.p_table.flags.c_contiguous and tr.rtilde.flags.c_contiguous
+    for op in eng.ops.values():
+        assert op.table().transpose(2, 3, 0, 1).flags.c_contiguous
