@@ -94,10 +94,15 @@ class ExperimentConfig:
             raise ConfigError(f"lmax must be at least lmin, got {self.lmax}")
         # lmax capped at 40, far beyond any host, so the estimate stays a float
         need = BYTES_PER_FINEST_VERTEX * (3 ** min(self.lmax, 40) + 1) ** 2
+        sized = f"lmax {self.lmax}"
+        if self.variant == "multiplicative-v10":
+            # the two-grid reference's dense lmin matrix and its inverse
+            need += 16 * (3 ** min(self.lmin, 40) - 1) ** 4
+            sized += f" with multiplicative-v10 at lmin {self.lmin}"
         have = physical_memory()
         if need > have:
             raise ConfigError(
-                f"lmax {self.lmax} needs about {need / 2**30:.3g} GiB, more than the "
+                f"{sized} needs about {need / 2**30:.3g} GiB, more than the "
                 f"{have / 2**30:.3g} GiB of physical memory")
         if self.engine not in ENGINES:
             raise ConfigError(f"engine must be one of {ENGINES}, got {self.engine!r}")

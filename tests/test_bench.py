@@ -193,6 +193,12 @@ def test_memory_estimate_rejects_oversized_runs(monkeypatch, capsys):
     for lmax in (9, 10**6):
         with pytest.raises(ConfigError, match=f"lmax {lmax} needs about"):
             ExperimentConfig(lmax=lmax).validate()
+    # the two-grid reference adds a dense matrix and its inverse, 16 m^2
+    # bytes for the m = (3**lmin - 1)**2 coarse unknowns
+    ExperimentConfig(variant="multiplicative-v10", lmin=4, lmax=5).validate()
+    with pytest.raises(ConfigError, match="lmax 6 with multiplicative-v10 at lmin 5 "
+                                          "needs about 51.2 GiB"):
+        ExperimentConfig(variant="multiplicative-v10", lmin=5, lmax=6).validate()
     monkeypatch.setattr(bench, "physical_memory", lambda: 2**19)
     rc = main(["--lmax", "4", "--max-cycles", "1"])
     out, err = capsys.readouterr()
