@@ -85,9 +85,9 @@ def curvature_indicators(tree: Spacetree, level: int) -> np.ndarray:
     Only same-level neighbours enter; where a vertex lacks one of the two
     neighbours along an axis that axis is skipped, so no fictitious
     cross-level curvature appears at resolution transitions.  The 1/h^2
-    scaling keeps levels comparable: refined regions stay in the running
-    where the solution really curves, so meshes grade towards features
-    instead of unfolding uniformly.
+    scaling turns each level's second differences into estimates of the
+    same derivative, so indicators of different levels can be ranked
+    together.
     """
     u = tree.u[level]
     exists = tree.vertex_kinds(level) != VertexKind.NONE
