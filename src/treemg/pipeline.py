@@ -38,19 +38,17 @@ requirement is iterate equality with the level-by-level reference engine:
 
 The traversal is compiled once per mesh, at the first sweep after
 rebuild(): ``traverse`` yields the event stream, and numpy turns it into
-flat rows per vertex id (kind, diagonal, h-weight, d-linear parent terms,
-prolongation/scatter and R~ rows, damping chain, c-point parent) and per
-leaf cell (corners, material).  A sweep is one loop over the
-stream on Python lists, with every arithmetic expression in the order of
-the definitions above.
+flat rows per vertex id (kind, diagonal, h-weight, prolongation rows,
+which also scatter restrictions and interpolate hanging values, R~ rows,
+damping chain, c-point parent) and per leaf cell (corners, material).  A
+sweep is one loop over the stream on Python lists, with every arithmetic
+expression in the order of the definitions above.
 
-The bookmarks stay Python lists from one sweep to the next, as a
-stack-based traversal keeps vertex state in place between grid sweeps.
-They are written back to the numpy store only when something else needs
-it: a read of ``helpers`` (which then drops the lists, so writes through
-its views reach the next sweep) and ``rebuild()``; ``reset_helpers()``
-drops them unwritten.  ``tree.u`` is read at the start of every sweep and
-written back at its end.
+The bookmarks are Python lists over the flat vertex ids and stay in place
+from one sweep to the next, as a stack-based traversal keeps vertex state
+between grid sweeps; ``rebuild()`` extends them to new vertices, and
+``helpers`` hands out numpy copies.  ``tree.u`` is read at the start of
+every sweep and written back at its end.
 
 The engine supports the plain additive solver and both damped variants.
 Strictly one execution context per tree; helper bookkeeping is
@@ -107,7 +105,7 @@ class PipelineEngine(ReferenceEngine):
     the reference engine's advance().  A cycle's iterate becomes readable
     only after the next sweep's descent; capture_iterate=True snapshots it
     then (available as last_snapshot).  tree.u holds the state after each
-    sweep, and each read of helpers[l][name] gives a view of it.
+    sweep, and each read of helpers[l][name] gives a copy of its bookmarks.
     """
 
     def __init__(self, tree: Spacetree, cfg: SolverConfig,
@@ -126,34 +124,21 @@ class PipelineEngine(ReferenceEngine):
     def rebuild(self) -> None:
         """Rebuild the operators; helpers of existing levels keep their
         values, and the traversal is compiled again at the next sweep."""
-        self._flush()
         super().rebuild()
-        old = getattr(self, "_store", np.zeros((len(HELPERS), 0)))
-        # one row per helper over the flat vertex ids of levels 0..ltop
-        self._store = np.zeros((len(HELPERS), vertex_offsets(self.ltop)[-1]))
-        n = min(old.shape[1], self._store.shape[1])
-        self._store[:, :n] = old[:, :n]
+        # one list per helper over the flat vertex ids of levels 0..ltop
+        n = vertex_offsets(self.ltop)[-1]
+        old = self._lists or dict.fromkeys(HELPERS, [])
+        self._lists = {name: old[name][:n] + [0.0] * (n - len(old[name])) for name in HELPERS}
         self._plan = None
 
     @property
     def helpers(self) -> dict[int, dict[str, np.ndarray]]:
-        """helpers[l][name]: a writable view of one helper on level l,
-        current until the next sweep."""
-        self._flush()
+        """helpers[l][name]: a copy of one helper on level l after the
+        last sweep."""
         off = vertex_offsets(self.ltop)
-        return {l: {name: row[off[l]:off[l + 1]].reshape(self.tree.u[l].shape)
-                    for name, row in zip(HELPERS, self._store)}
+        return {l: {name: np.array(self._lists[name][off[l]:off[l + 1]]).reshape(
+                        self.tree.u[l].shape) for name in HELPERS}
                 for l in range(self.tree.lmin, self.ltop + 1)}
-
-    def reset_helpers(self) -> None:
-        self._lists = None
-        self._store.fill(0.0)
-
-    def _flush(self) -> None:
-        """Write the helper lists back to the store and drop them."""
-        if self._lists is not None:
-            self._store[...] = [self._lists[name] for name in HELPERS]
-            self._lists = None
 
     # -- compilation -----------------------------------------------------------
 
@@ -193,34 +178,25 @@ class PipelineEngine(ReferenceEngine):
             stream=list(zip(code[keep].tolist(), ev[keep].tolist())), offsets=off,
             cells=self._cell_rows(plan), diag=per_vertex(self.diag, 1.0).tolist(),
             hw=per_vertex(self.hweight, 0.0).tolist(),
-            **self._vertex_rows(plan, kind == VertexKind.HANGING))
+            **self._vertex_rows(plan))
 
-    def _vertex_rows(self, plan: TraversalPlan, hanging: np.ndarray) -> dict[str, list]:
-        """Per flat vertex id: d-linear parent terms (hanging vertices),
-        prolongation rows (also the scatter rows of the restriction) and R~
-        rows as (source, weight) lists in the order wi outer, wj inner with
-        zero weights skipped, damping-chain sources and c-point parent."""
+    def _vertex_rows(self, plan: TraversalPlan) -> dict[str, list]:
+        """Per flat vertex id: prolongation rows and R~ rows as (source,
+        weight) lists in the order wi outer, wj inner with zero weights
+        skipped, damping-chain sources and c-point parent.  A prolongation
+        row also scatters the vertex's residual to the coarser level, and
+        at a hanging vertex it gives the value: both flavours' P hold the
+        d-linear weights there, at most two terms along a coarse edge."""
         l0, ltop = self.tree.lmin, self.ltop
         jac, pi = self.cfg.variant == "adafac-jac", self.cfg.variant == "adafac-pi"
         off, ids = plan.offsets, plan.vertex_id
         nv = off[-1]
-        rows = {name: [()] * nv for name in ("dterms", "prow", "rrow", "chain")}
+        rows = {name: [()] * nv for name in ("prow", "rrow", "chain")}
         cpar = np.full(nv, -1)
         geo = geometric_prolongation()
         for l in range(l0, ltop + 1):
             lc, nc, span = l - 1, 3 ** (l - 1), slice(off[l], off[l + 1])
             I, J = np.divmod(np.arange(off[l + 1] - off[l]), 3**l + 1)
-            qi, ri = np.divmod(I, 3)
-            qj, rj = np.divmod(J, 3)
-            # parent corners (qi, qj) .. (qi + 1, qj + 1), the fine vertex at
-            # offset (ri, rj) from the first and r - 3 from the farther ones
-            terms = np.stack([ri >= 0, ri > 0, rj > 0, (ri > 0) & (rj > 0)], axis=1)
-            rows["dterms"][span] = _ragged(
-                terms & hanging[span, None],
-                np.stack([ids(lc, qi, qj), ids(lc, qi + 1, qj), ids(lc, qi, qj + 1),
-                          ids(lc, qi + 1, qj + 1)], axis=1),
-                np.stack([geo[ri + 3, rj + 3], geo[ri, rj + 3], geo[ri + 3, rj],
-                          geo[ri, rj]], axis=1))
             if l > l0:
                 tr = self.transfers[lc]
                 ci = np.maximum(0, (I - 1) // 3)[:, None] + np.repeat(np.arange(3), 3)
@@ -235,8 +211,8 @@ class PipelineEngine(ReferenceEngine):
                 if jac:
                     rt = tr.rtilde[oi, oj] if tr.rtilde.ndim == 2 else tr.rtilde[ci, cj, oi, oj]
                     rows["rrow"][span] = _ragged(ok & (rt != 0.0), ids(lc, ci, cj), rt)
-                cpt = (ri == 0) & (rj == 0)
-                cpar[span][cpt] = ids(lc, qi, qj)[cpt]
+                cpt = (I % 3 == 0) & (J % 3 == 0)
+                cpar[span][cpt] = ids(lc, I // 3, J // 3)[cpt]
             if not (jac or pi):
                 continue
             # injected damping of finer levels: the injection targets at the
@@ -276,13 +252,11 @@ class PipelineEngine(ReferenceEngine):
         l0, ltop, off = tree.lmin, self.ltop, plan.offsets
         jac, pi = cfg.variant == "adafac-jac", cfg.variant == "adafac-pi"
         omega, wt = cfg.omega, cfg.wt
-        cells, prow, rrow, dterms = plan.cells, plan.prow, plan.rrow, plan.dterms
+        cells, prow, rrow = plan.cells, plan.prow, plan.rrow
         chain, cpar, diag, hw = plan.chain, plan.cpar, plan.diag, plan.hw
         ((e00, e01, e02, e03), (e10, e11, e12, e13),
          (e20, e21, e22, e23), (e30, e31, e32, e33)) = ELEMENT_MATRIX_UNIT.tolist()
         u = np.concatenate([tree.u[l].ravel() for l in range(ltop + 1)]).tolist()
-        if self._lists is None:
-            self._lists = dict(zip(HELPERS, self._store.tolist()))
         h = self._lists
         sl, sc, sf, b = h["sl"], h["sc"], h["sf"], h["b"]
         btr, btw, au = h["bt_r"], h["bt_w"], h["acc_au"]
@@ -308,7 +282,7 @@ class PipelineEngine(ReferenceEngine):
                     for s, w in prow[x]:
                         carry += w * sc[s]
                     if code == FIRST_HANGING:
-                        (s, w), *rest = dterms[x]
+                        (s, w), *rest = prow[x]
                         val = w * u[s]
                         for s, w in rest:
                             val += w * u[s]

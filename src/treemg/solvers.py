@@ -54,7 +54,7 @@ from .operators import (
     ritz_galerkin_coarse,
     smoothed_restriction_table,
 )
-from .spacetree import Spacetree, VertexKind
+from .spacetree import Spacetree, VertexKind, cells_around
 
 __all__ = [
     "VARIANTS",
@@ -200,14 +200,8 @@ class ReferenceEngine:
                 "not_src": _complement(dof | hanging) if hanging.any() else not_dof,
                 "missing": _complement(exists),
             }
-            n = 3**l
             if l < tree.lmax and tree.refined[l].any():
-                refined_around = np.zeros((n + 2, n + 2), dtype=bool)
-                refined_around[1:-1, 1:-1] = tree.refined[l]
-                any_refined = (
-                    refined_around[:-1, :-1] | refined_around[1:, :-1]
-                    | refined_around[:-1, 1:] | refined_around[1:, 1:]
-                )
+                any_refined = cells_around(tree.refined[l]) > 0
                 self.hweight[l] = np.where(any_refined, 3.0 ** -(l + 1), 3.0**-l)
             else:
                 # no refined cells: the local mesh width is uniform
@@ -401,22 +395,14 @@ class ReferenceEngine:
 
     def _advance_mult_v10(self) -> CycleStats:
         tree = self.tree
-        cfg = self.cfg
         l0, l1 = tree.lmin, self.ltop
-        op_f, op_c = self.ops[l1], self.ops[l0]
-        dof_f, dof_c = self.masks[l1]["dof"], self.masks[l0]["dof"]
-
         stats = self._new_stats()
-        rho = np.where(dof_f, -op_f.apply(tree.u[l1]), 0.0)
-        self._accumulate_stats(stats, l1, rho)
-        rho_c0 = np.where(dof_c, self.transfers[l0].restrict(rho), 0.0)
-        self._accumulate_stats(stats, l0, rho_c0)
-
-        tree.u[l1] += cfg.omega * rho / self.diag[l1]
+        rho = dict(self._residual_chain(stats))[l1]
+        tree.u[l1] += self.cfg.omega * rho / self.diag[l1]
         self.update_fas_state()
 
-        rho_sm = np.where(dof_f, -op_f.apply(tree.u[l1]), 0.0)
-        rho_c = np.where(dof_c, self.transfers[l0].restrict(rho_sm), 0.0)
+        # the coarse level has no leaf cell: its residual is the restricted one
+        rho_c = dict(self._residual_chain(self._new_stats()))[l0]
         inv, idx = self._coarse_dense
         c_vec = inv @ rho_c[tuple(idx.T)]
         c = np.zeros_like(tree.u[l0])

@@ -37,6 +37,7 @@ __all__ = [
     "VertexKind",
     "Spacetree",
     "build_regular",
+    "cells_around",
     "traverse",
     "vertex_offsets",
     "TraversalPlan",
@@ -64,6 +65,18 @@ PEANO_CHILD_ORDER = (
     (0, 2), (1, 2), (2, 2),
 )
 LEX_CHILD_ORDER = tuple((a, b) for a in range(3) for b in range(3))
+
+
+def cells_around(mask: np.ndarray) -> np.ndarray:
+    """Number of set cells among the four around each vertex of an (n, n)
+    cell mask, as an (n + 1, n + 1) int8 array."""
+    m = mask.astype(np.int8)
+    count = np.zeros((m.shape[0] + 1, m.shape[1] + 1), dtype=np.int8)
+    count[:-1, :-1] += m
+    count[1:, :-1] += m
+    count[:-1, 1:] += m
+    count[1:, 1:] += m
+    return count
 
 
 class Spacetree:
@@ -123,24 +136,13 @@ class Spacetree:
             return np.ones((1, 1), dtype=bool)
         return np.repeat(np.repeat(self.refined[level - 1], 3, axis=0), 3, axis=1)
 
-    def adjacent_cell_count(self, level: int) -> np.ndarray:
-        """Number of existing level cells around each vertex of the level."""
-        exists = self.cells_exist(level).astype(np.int8)
-        n = 3**level
-        count = np.zeros((n + 1, n + 1), dtype=np.int8)
-        count[:-1, :-1] += exists
-        count[1:, :-1] += exists
-        count[:-1, 1:] += exists
-        count[1:, 1:] += exists
-        return count
-
     def vertex_kinds(self, level: int) -> np.ndarray:
         """Vertex classification of a level as an int8 array."""
         cached = self._kind_cache.get(level)
         if cached is not None:
             return cached
         n = 3**level
-        count = self.adjacent_cell_count(level)
+        count = cells_around(self.cells_exist(level))
         kinds = np.full((n + 1, n + 1), VertexKind.NONE, dtype=np.int8)
         exists = count > 0
         boundary = np.zeros_like(exists)
@@ -151,11 +153,7 @@ class Spacetree:
         kinds[interior & (count < 4)] = VertexKind.HANGING
         full = interior & (count == 4)
         if level < self.lmax:
-            refined = np.zeros((n + 2, n + 2), dtype=np.int8)
-            refined[1:-1, 1:-1] = self.refined[level] if level < len(self.refined) else 0
-            overlap = (
-                refined[:-1, :-1] + refined[1:, :-1] + refined[:-1, 1:] + refined[1:, 1:]
-            ) == 4
+            overlap = cells_around(self.refined[level]) == 4
             kinds[full & overlap] = VertexKind.COARSE_OVERLAPPED
             kinds[full & ~overlap] = VertexKind.INTERIOR_DOF
         else:
@@ -195,11 +193,11 @@ class Spacetree:
                 continue
             child = l + 1
             self._ensure_level_arrays(child)
-            before = self.adjacent_cell_count(child)
+            before = cells_around(self.cells_exist(child))
             self.refined[l] |= new
             self.invalidate_kinds(l)
             self.invalidate_kinds(child)
-            made = (before == 0) & (self.adjacent_cell_count(child) > 0)
+            made = (before == 0) & (cells_around(self.cells_exist(child)) > 0)
             edge = made.copy()
             edge[1:-1, 1:-1] = False
             inner = made & ~edge
@@ -290,7 +288,7 @@ def traverse(tree: Spacetree,
     depth = tree.depth
     offsets = vertex_offsets(depth)
     adjacent = np.concatenate(
-        [tree.adjacent_cell_count(l).ravel() for l in range(depth + 1)]).tolist()
+        [cells_around(tree.cells_exist(l)).ravel() for l in range(depth + 1)]).tolist()
     refined = [tree.refined[l].tolist() for l in range(depth)]
     touched = [0] * offsets[-1]
     events: list[tuple[int, int]] = []

@@ -10,6 +10,7 @@ from treemg.spacetree import (
     Spacetree,
     VertexKind,
     build_regular,
+    cells_around,
     traverse,
 )
 
@@ -65,7 +66,7 @@ def recursive_events(tree, order, l=0, i=0, j=0, touched=None):
         for a, b in order:
             events += recursive_events(tree, order, l + 1, 3 * i + a, 3 * j + b, touched)
     for v in corners:
-        if touched[v] == tree.adjacent_cell_count(v[0])[v[1], v[2]]:
+        if touched[v] == cells_around(tree.cells_exist(v[0]))[v[1], v[2]]:
             touched[v] += 1
             events.append((LAST_TOUCH, v))
     return events
