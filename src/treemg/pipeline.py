@@ -116,7 +116,7 @@ class PipelineEngine(ReferenceEngine):
         self.child_order = child_order
         self.last_snapshot = None
         self.last_counters = None
-        self._lists = None
+        self._lists = dict.fromkeys(HELPERS, [])
         super().__init__(tree, cfg)
 
     # -- construction --------------------------------------------------------
@@ -127,8 +127,8 @@ class PipelineEngine(ReferenceEngine):
         super().rebuild()
         # one list per helper over the flat vertex ids of levels 0..ltop
         n = vertex_offsets(self.ltop)[-1]
-        old = self._lists or dict.fromkeys(HELPERS, [])
-        self._lists = {name: old[name][:n] + [0.0] * (n - len(old[name])) for name in HELPERS}
+        self._lists = {name: old[:n] + [0.0] * (n - len(old))
+                       for name, old in self._lists.items()}
         self._plan = None
 
     @property

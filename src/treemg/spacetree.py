@@ -141,9 +141,8 @@ class Spacetree:
         cached = self._kind_cache.get(level)
         if cached is not None:
             return cached
-        n = 3**level
         count = cells_around(self.cells_exist(level))
-        kinds = np.full((n + 1, n + 1), VertexKind.NONE, dtype=np.int8)
+        kinds = np.full(count.shape, VertexKind.NONE, dtype=np.int8)
         exists = count > 0
         boundary = np.zeros_like(exists)
         boundary[0, :] = boundary[-1, :] = True
