@@ -125,6 +125,8 @@ class PipelineEngine(ReferenceEngine):
         """Rebuild the operators; helpers of existing levels keep their
         values, and the traversal is compiled again at the next sweep."""
         super().rebuild()
+        if self.masks[self.tree.lmin]["hanging"].any():
+            raise ValueError("pipelined engine: level lmin has hanging vertices")
         # one list per helper over the flat vertex ids of levels 0..ltop
         n = vertex_offsets(self.ltop)[-1]
         self._lists = {name: old[:n] + [0.0] * (n - len(old))

@@ -7,7 +7,7 @@ from treemg.discretization import constant_field, half_domain_jump
 from treemg.operators import geometric_prolongation
 from treemg.pipeline import ENTER, PipelineEngine
 from treemg.solvers import ReferenceEngine, SolverConfig
-from treemg.spacetree import LEX_CHILD_ORDER, VertexKind, build_regular
+from treemg.spacetree import LEX_CHILD_ORDER, Spacetree, VertexKind, build_regular
 
 
 def paired_engines(levels, variant, field=None, seed=1, **cfg_kw):
@@ -119,6 +119,20 @@ def test_matvec_accumulation_matches_stencil_application():
         dof = eng.masks[l]["dof"]
         got = eng.helpers[l]["acc_au"]
         assert np.abs((got - want)[dof]).max() < 1e-13
+
+
+def test_hanging_vertices_on_lmin_rejected():
+    """Hanging values interpolate along prolongation rows, which start
+    above lmin."""
+    tree = Spacetree(lmin=2, lmax=3)
+    tree.refine_many([np.ones((1, 1), dtype=bool)])
+    half = np.zeros((3, 3), dtype=bool)
+    half[:2, 0] = True
+    tree.refine_many([np.zeros((1, 1), dtype=bool), half])
+    assert (tree.vertex_kinds(2) == VertexKind.HANGING).any()
+    ReferenceEngine(tree, SolverConfig(variant="adafac-jac"))
+    with pytest.raises(ValueError, match="level lmin has hanging vertices"):
+        PipelineEngine(tree, SolverConfig(variant="adafac-jac"))
 
 
 def test_unsupported_variant_rejected():
