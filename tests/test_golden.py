@@ -1,8 +1,11 @@
-"""Golden CSV digests: exit code and CSV sha256 of a fixed matrix of CLI runs.
+"""Golden digests of behaviour.
 
-A change that keeps behaviour leaves every entry of golden_csv.json as it
-is.  A changed entry is a behaviour change, to be declared with its reason;
-regenerate the file with
+golden_csv.json holds the exit code and CSV sha256 of a fixed matrix of CLI
+runs; golden_tables.json the sha256 of every prolongation, smoothed
+restriction, stencil table and diagonal that the reference engine builds
+on a fixed corpus of meshes.  A change that keeps behaviour leaves every
+entry of both files as it is.  A changed entry is a behaviour change, to be
+declared with its reason; regenerate both files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -14,9 +17,15 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from treemg.bench import make_field
 from treemg.cli import main
+from treemg.solvers import ReferenceEngine, SolverConfig
+from treemg.spacetree import VertexKind, build_regular
 
 GOLDEN = Path(__file__).with_name("golden_csv.json")
+GOLDEN_TABLES = Path(__file__).with_name("golden_tables.json")
 
 SETUPS = ("poisson", "half-jump", "needle", "skew")
 FLAVORS = ("geometric", "boxmg")
@@ -47,6 +56,75 @@ def digest(argv: str) -> list:
     return [rc, hashlib.sha256(out.getvalue().encode()).hexdigest()]
 
 
+# regular boxmg meshes at lmax 3-5, and (setup, k, seed) of the random
+# graded lmax-4 meshes, built for both flavours
+TABLE_FIELDS = (("poisson", 1), ("half-jump", 3), ("half-jump", 5), ("needle", 3), ("skew", 5))
+GRADED = (("poisson", 1, 1), ("half-jump", 3, 2), ("needle", 3, 3), ("skew", 5, 4))
+
+
+def graded_tree(setup: str, k: int, seed: int):
+    """A random graded lmax-4 tree: a regular level 1, then each of levels
+    1-3 refined on a random 60% of its cells, so that levels 2-4 carry
+    hanging vertices."""
+    tree = build_regular(1, lmax=4, field=make_field(setup, k))
+    rng = np.random.default_rng(seed)
+    for l in range(1, 4):
+        marks = [np.zeros_like(r) for r in tree.refined[:l]]
+        tree.refine_many(marks + [tree.cells_exist(l) & (rng.random(tree.refined[l].shape) < 0.6)])
+    assert tree.depth == 4
+    assert all((tree.vertex_kinds(l) == VertexKind.HANGING).any() for l in (2, 3, 4))
+    return tree
+
+
+def table_corpus():
+    """(name, tree, flavor) of the corpus, each tree built when reached."""
+    for setup, k in TABLE_FIELDS:
+        for lmax in (3, 4, 5):
+            yield (f"{setup} k={k} lmax {lmax} boxmg",
+                   build_regular(lmax, field=make_field(setup, k)), "boxmg")
+    for setup, k, seed in GRADED:
+        for flavor in ("geometric", "boxmg"):
+            yield (f"{setup} k={k} graded seed {seed} {flavor}", graded_tree(setup, k, seed), flavor)
+
+
+def array_digest(arr: np.ndarray) -> str:
+    """sha256 of an array's shape, dtype and values in index order."""
+    h = hashlib.sha256(f"{arr.shape} {arr.dtype}".encode())
+    h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+def table_digests(tree, flavor: str) -> dict[str, str]:
+    """Digests of the tables an adafac-jac engine builds on tree: per level
+    its stencil table and diagonal, and per coarse level its P (boxmg only)
+    and R~."""
+    eng = ReferenceEngine(tree, SolverConfig(variant="adafac-jac", flavor=flavor))
+    out = {}
+    for l in range(tree.lmin, eng.ltop + 1):
+        out[f"A{l}"] = array_digest(eng.ops[l].table())
+        out[f"diag{l}"] = array_digest(eng.diag[l])
+        if l < eng.ltop:
+            tr = eng.transfers[l]
+            if tr.p_table is not None:
+                out[f"P{l}"] = array_digest(tr.p_table)
+            out[f"Rt{l}"] = array_digest(tr.rtilde)
+    return out
+
+
+def all_table_digests() -> dict[str, dict[str, str]]:
+    return {name: table_digests(tree, flavor) for name, tree, flavor in table_corpus()}
+
+
+def test_golden_table_digests():
+    want = json.loads(GOLDEN_TABLES.read_text())
+    got = all_table_digests()
+    assert list(want) == list(got)
+    changed = [f"{name}: {key}" for name in want for key in want[name]
+               if got[name].get(key) != want[name][key]]
+    assert not changed and all(list(got[n]) == list(want[n]) for n in want), (
+        f"{len(changed)} tables changed: {changed}")
+
+
 def test_golden_csv_digests():
     want = json.loads(GOLDEN.read_text())
     runs = golden_runs()
@@ -59,3 +137,6 @@ if __name__ == "__main__":
     lines = [f"{json.dumps(argv)}: {json.dumps(digest(argv))}" for argv in golden_runs()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {len(lines)} digests to {GOLDEN}", file=sys.stderr)
+    tables = all_table_digests()
+    GOLDEN_TABLES.write_text(json.dumps(tables, indent=1) + "\n")
+    print(f"wrote {sum(map(len, tables.values()))} digests to {GOLDEN_TABLES}", file=sys.stderr)
