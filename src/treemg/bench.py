@@ -52,6 +52,13 @@ EXIT_DIVERGED = 3
 # estimated peak memory per finest-level vertex: every level stores full
 # arrays, and half-jump runs measured about 100 B at lmax 5 to 7
 BYTES_PER_FINEST_VERTEX = 128
+# the same with boxmg, whose P and R~ tables and prolongation blocks stay
+# resident: 238 B at lmax 5 and 233 B at lmax 6 (tracemalloc peak of
+# set-up and cycles)
+BOXMG_BYTES_PER_FINEST_VERTEX = 256
+# the pipelined engine keeps its vertex rows in Python lists: 2.5 to 3.2 kB
+# at lmax 3 to 5, either flavour
+PIPELINED_BYTES_PER_FINEST_VERTEX = 3584
 
 
 class ConfigError(ValueError):
@@ -92,13 +99,19 @@ class ExperimentConfig:
             raise ConfigError(f"lmin must be at least 1, got {self.lmin}")
         if self.lmax < self.lmin:
             raise ConfigError(f"lmax must be at least lmin, got {self.lmax}")
+        if self.engine == "pipelined":
+            per_vertex, uses = PIPELINED_BYTES_PER_FINEST_VERTEX, ["the pipelined engine"]
+        elif self.flavor == "boxmg":
+            per_vertex, uses = BOXMG_BYTES_PER_FINEST_VERTEX, ["boxmg"]
+        else:
+            per_vertex, uses = BYTES_PER_FINEST_VERTEX, []
         # lmax capped at 40, far beyond any host, so the estimate stays a float
-        need = BYTES_PER_FINEST_VERTEX * (3 ** min(self.lmax, 40) + 1) ** 2
-        sized = f"lmax {self.lmax}"
+        need = per_vertex * (3 ** min(self.lmax, 40) + 1) ** 2
         if self.variant == "multiplicative-v10":
             # the two-grid reference's dense lmin matrix and its inverse
             need += 16 * (3 ** min(self.lmin, 40) - 1) ** 4
-            sized += f" with multiplicative-v10 at lmin {self.lmin}"
+            uses.append(f"multiplicative-v10 at lmin {self.lmin}")
+        sized = f"lmax {self.lmax}" + (" with " + " and ".join(uses) if uses else "")
         have = physical_memory()
         if need > have:
             raise ConfigError(

@@ -54,7 +54,9 @@ o+3 = 3q + r (q, r in 0..2): fine vertex 3v+o is entry r of block v+q of
 the fine field padded by 3 and viewed as (nc+3, 3, nc+3, 3).  The 3x3
 blocks of P that hold a nonzero weight (the four with q in {0, 1}, as P
 has no weight at offsets +-3) are kept as contiguous (nc+1, 3, nc+1, 3)
-copies and added with one operation each.
+copies and added with one operation each.  The Galerkin probes prolong
+indicators of one colour of coarse vertices, whose weight windows do not
+overlap; they scatter the weights from the P table into zeros instead.
 """
 
 from __future__ import annotations
@@ -223,6 +225,10 @@ def assemble_stencil_table(eps: np.ndarray) -> np.ndarray:
 
 # -- operator-dependent prolongation ----------------------------------------
 
+# Refined cells per chunk of boxmg_prolongation's interior solves: about
+# 1 MB of gathers, rows and solves, whatever the size of the level.
+_INTERIOR_BLOCK = 1024
+
 
 def _windows(fine: np.ndarray) -> np.ndarray:
     """View of the 7x7 windows of fine at stride 3: entry [v, o] is
@@ -289,7 +295,9 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
     local 4x4 system A P e = 0 exactly, with the boundary weights of the
     patch read from P itself.  Weights targeting hanging fine vertices are
     replaced by the d-linear ones, matching the interpolation used for
-    hanging-vertex values.
+    hanging-vertex values.  The interior solves run over chunks of
+    _INTERIOR_BLOCK cells, so that their scratch memory does not grow with
+    the level.
 
     Returns a C-contiguous (nc+1, nc+1, 7, 7) table of weights at fine
     offsets -3..3.
@@ -300,35 +308,39 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
     _face_points(fine_table, refined, p)
     _face_points(fine_table.transpose(1, 0, 3, 2), refined.T, p.transpose(1, 0, 3, 2))
 
-    # Interior points, vectorized over refined cells: the four interior
-    # points of a refined coarse cell couple only to each other and to the
-    # cell's boundary points.  Patch-local coordinates (tp, tq) run over
-    # 0..3; corner (cp, cq) of cell (ci, cj) is coarse vertex (ci + cp//3,
-    # cj + cq//3), whose weight at patch point (tp, tq) is its P entry at
-    # offset (tp - cp, tq - cq).  a_ff and rhs keep one row per matrix
-    # entry, [point, point or corner, cell]; P and the fine stencil planes
-    # are read and written through flat indices.
+    # Interior points, vectorized over chunks of refined cells: the four
+    # interior points of a refined coarse cell couple only to each other and
+    # to the cell's boundary points.  Patch-local coordinates (tp, tq) run
+    # over 0..3; corner (cp, cq) of cell (ci, cj) is coarse vertex
+    # (ci + cp//3, cj + cq//3), whose weight at patch point (tp, tq) is its
+    # P entry at offset (tp - cp, tq - cq).  a_ff and rhs keep one row per
+    # matrix entry, [point, point or corner, cell]; P and the fine stencil
+    # planes are read and written through flat indices.  A cell reads only
+    # c-point and face-point weights, so its solve does not depend on the
+    # chunk it falls in.
     ci, cj = np.nonzero(refined)
-    if ci.size:
-        f_off = ((1, 1), (2, 1), (1, 2), (2, 2))
-        corners = ((0, 0), (3, 0), (0, 3), (3, 3))
-        rim = [(tp, tq) for tp in range(4) for tq in range(4) if (tp, tq) not in f_off]
+    f_off = ((1, 1), (2, 1), (1, 2), (2, 2))
+    corners = ((0, 0), (3, 0), (0, 3), (3, 3))
+    rim = [(tp, tq) for tp in range(4) for tq in range(4) if (tp, tq) not in f_off]
 
-        def slots(points):
-            # [point, corner]: flat offset in p of each corner's weight at
-            # the patch points, from the start of the cell's vertex (ci, cj)
-            return np.array([[((cp // 3) * (nc + 1) + cq // 3) * 49
-                              + (tp - cp + 3) * 7 + tq - cq + 3
-                              for cp, cq in corners] for tp, tq in points])
+    def slots(points):
+        # [point, corner]: flat offset in p of each corner's weight at the
+        # patch points, from the start of the cell's vertex (ci, cj)
+        return np.array([[((cp // 3) * (nc + 1) + cq // 3) * 49
+                          + (tp - cp + 3) * 7 + tq - cq + 3
+                          for cp, cq in corners] for tp, tq in points])
 
-        pf = p.reshape(-1)
-        cell = (ci * (nc + 1) + cj) * 49
-        known = pf[slots(rim)[:, :, None] + cell]  # [rim point, corner, cell]
-        planes = fine_table.transpose(2, 3, 0, 1).reshape(9, -1)
-        a_ff = np.zeros((4, 4, ci.size))
-        rhs = np.zeros((4, 4, ci.size))  # one row per corner
+    pf = p.reshape(-1)
+    planes = fine_table.transpose(2, 3, 0, 1).reshape(9, -1)
+    rim_slots, f_slots = slots(rim)[:, :, None], slots(f_off)
+    for k in range(0, ci.size, _INTERIOR_BLOCK):
+        bi, bj = ci[k : k + _INTERIOR_BLOCK], cj[k : k + _INTERIOR_BLOCK]
+        cell = (bi * (nc + 1) + bj) * 49
+        known = pf[rim_slots + cell]  # [rim point, corner, cell]
+        a_ff = np.zeros((4, 4, bi.size))
+        rhs = np.zeros((4, 4, bi.size))  # one row per corner
         for r, (fp, fq) in enumerate(f_off):
-            stn = planes[:, (3 * ci + fp) * (3 * nc + 1) + 3 * cj + fq]  # [offset, cell]
+            stn = planes[:, (3 * bi + fp) * (3 * nc + 1) + 3 * bj + fq]  # [offset, cell]
             for d, (da, db) in enumerate(np.ndindex(3, 3)):
                 tp, tq = fp + da - 1, fq + db - 1
                 if (tp, tq) in f_off:
@@ -337,7 +349,7 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
                     rhs[r] -= stn[d] * known[rim.index((tp, tq))]
         # [cell, point, corner]
         sol = np.linalg.solve(a_ff.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
-        pf[cell[:, None, None] + slots(f_off)] = sol
+        pf[cell[:, None, None] + f_slots] = sol
 
     # Hanging fine targets interpolate d-linearly instead.
     if hanging is not None and hanging.any():
@@ -401,31 +413,50 @@ def _require_no_weight_at_three(p_table: np.ndarray) -> None:
         raise ValueError("prolongation weights at offsets +-3 must vanish")
 
 
-def ritz_galerkin_coarse(fine_table_masked: np.ndarray, transfer: TransferOps) -> np.ndarray:
-    """Coarse stencil table A_c = R A P from fine stencils and the table
-    transfers of P (transfer.p_table), as an offset-major table.
+def _colour_prolong(p_table: np.ndarray, ci: int, cj: int) -> np.ndarray:
+    """P e_c for the colour indicator e_c, 1 at the coarse vertices v with
+    v mod 3 == (ci, cj), scattered straight from the weights of those
+    vertices.  Their 7x7 windows lie 9 fine vertices apart and so never
+    overlap; each weight is added once onto +0.0, the sum that a full
+    prolongation of e_c leaves there.  Targets outside the grid are
+    dropped."""
+    nc = p_table.shape[0] - 1
+    m = (nc - ci) // 3 + 1, (nc - cj) // 3 + 1
+    # padded fine index 3v + o holds fine vertex 3v + o - 3; the windows of
+    # the colour start at 3c and run in steps of 9
+    pad = np.zeros((3 * nc + 9, 3 * nc + 9))
+    win = pad[3 * ci : 3 * ci + 9 * m[0], 3 * cj : 3 * cj + 9 * m[1]].reshape(m[0], 9, m[1], 9)
+    win[:, :7, :, :7] += p_table[ci::3, cj::3].transpose(0, 2, 1, 3)
+    return pad[3 : 3 * nc + 4, 3 : 3 * nc + 4]
 
-    fine_table_masked must have rows zeroed at vertices without test
-    functions (Dirichlet, hanging); restriction only gathers residuals from
-    equation-carrying vertices.  R = P^T.
+
+def ritz_galerkin_coarse(fine_table: np.ndarray, p_table: np.ndarray,
+                         dof: np.ndarray) -> np.ndarray:
+    """Coarse stencil table A_c = R A P from fine stencils and the
+    prolongation weights p_table, as an offset-major table.
+
+    dof is the fine level's boolean mask of the vertices that carry an
+    equation; restriction only gathers residuals from those, so the other
+    rows of each A P e_c are set to +0.0.  That equals the product with
+    fine_table zeroed at those rows bit for bit: such a row would sum only
+    +-0 products onto +0.0.  R = P^T.
 
     A_c is probed with nine coloured coarse vectors e_c, 1 at the vertices
-    v with v mod 3 == c.  P has no weight at offsets +-3, so R A P couples
-    vertices at most one apart and no two vertices of one colour share a
-    row: entry dw of vertex w is (R A P e_c)[w] for c = (w + dw) mod 3.
-    Entries towards vertices outside the grid come out zero, as no vertex
-    of their colour lies within reach.
+    v with v mod 3 == c (_colour_prolong).  P has no weight at offsets +-3,
+    so R A P couples vertices at most one apart and no two vertices of one
+    colour share a row: entry dw of vertex w is (R A P e_c)[w] for
+    c = (w + dw) mod 3.  Entries towards vertices outside the grid come out
+    zero, as no vertex of their colour lies within reach.
     """
-    p_table = transfer.p_table
     _require_no_weight_at_three(p_table)
     nc = p_table.shape[0] - 1
-    op = TableOperator(fine_table_masked)
+    op = TableOperator(fine_table)
+    no_equation = ~dof
     probed = np.empty((3, 3, nc + 1, nc + 1))
     for ci in range(3):
         for cj in range(3):
-            e = np.zeros((nc + 1, nc + 1))
-            e[ci::3, cj::3] = 1.0
-            ape = op.apply(_prolong_blocks(e, transfer._blocks))
+            ape = op.apply(_colour_prolong(p_table, ci, cj))
+            ape[no_equation] = 0.0
             probed[ci, cj] = _contract_windows(ape, p_table)
     v = np.arange(nc + 1)
     planes = np.empty((3, 3, nc + 1, nc + 1))
@@ -488,9 +519,10 @@ class TransferOps:
 
     With p_table None, prolongation and restriction are the separable
     d-linear kernels; otherwise the per-vertex weight tables, whose blocks
-    for prolongation (_p_blocks) are built once here and also serve the
-    probes of ritz_galerkin_coarse.  Restriction is always the transpose
-    of prolongation and accumulates (it never averages).
+    for prolongation (_p_blocks) are built once here for the cycles (the
+    probes of ritz_galerkin_coarse scatter from p_table instead).
+    Restriction is always the transpose of prolongation and accumulates
+    (it never averages).
 
     rtilde holds the smoothed restriction weights, a (7, 7) stencil (a
     multiple of GEOMETRIC_RTILDE) or an (nc+1, nc+1, 7, 7) table, both from

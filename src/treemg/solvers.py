@@ -233,18 +233,16 @@ class ReferenceEngine:
             for l in range(self.ltop - 1, tree.lmin - 1, -1):
                 refined = tree.refined[l] & tree.cells_exist(l)
                 p_tbl = boxmg_prolongation(raw, refined, self.masks[l + 1]["hanging"])
-                self.transfers[l] = tr = TransferOps(p_tbl, None)
-                # the fine rows without an equation are zeroed for the
-                # probes only, so the masked copy lives no longer than them
-                rap = ritz_galerkin_coarse(raw * self.masks[l + 1]["dof"][:, :, None, None], tr)
-                if want_rt:
-                    # after the probes, which hold the most memory of set-up
-                    tr.rtilde = smoothed_restriction_table(p_tbl, self.cfg.omega)
+                rap = ritz_galerkin_coarse(raw, p_tbl, self.masks[l + 1]["dof"])
                 tbl = assemble_stencil_table(eps_masked[l])
                 overlap = self.masks[l]["overlapped"]
                 np.copyto(tbl, rap, where=overlap[:, :, None, None])
                 self.ops[l] = TableOperator(tbl)
+                # the transfer blocks and R~ come after the finer table is
+                # released, which the top level's is here
                 raw = tbl
+                rt = smoothed_restriction_table(p_tbl, self.cfg.omega) if want_rt else None
+                self.transfers[l] = TransferOps(p_tbl, rt)
 
         # the operators of each level's leaf cells, which alone form its
         # residual; none where every cell of a level is refined

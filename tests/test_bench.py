@@ -2,6 +2,7 @@ import importlib.util
 import io
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,19 @@ def test_memory_estimate_rejects_oversized_runs(monkeypatch, capsys):
     with pytest.raises(ConfigError, match="lmax 6 with multiplicative-v10 at lmin 5 "
                                           "needs about 51.2 GiB"):
         ExperimentConfig(variant="multiplicative-v10", lmin=5, lmax=6).validate()
+    # boxmg and the pipelined engine have estimates of their own; a run
+    # that got past validation would fail the test instead of starting
+    monkeypatch.setattr("treemg.cli.run", lambda cfg: pytest.fail(f"started {cfg}"))
+    for argv, sized in ((["--flavor", "boxmg", "--lmax", "8"], "lmax 8 with boxmg"),
+                        (["--engine", "pipelined", "--lmax", "7"],
+                         "lmax 7 with the pipelined engine")):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"configuration error: {sized} needs about")
+    ExperimentConfig(flavor="boxmg", lmax=7).validate()
+    ExperimentConfig(engine="pipelined", lmax=6).validate()
     monkeypatch.setattr(bench, "physical_memory", lambda: 2**19)
     rc = main(["--lmax", "4", "--max-cycles", "1"])
     out, err = capsys.readouterr()
@@ -206,6 +220,25 @@ def test_memory_estimate_rejects_oversized_runs(monkeypatch, capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("configuration error: lmax 4 needs about")
+
+
+@pytest.mark.parametrize("engine, flavor, lmax, per_vertex", [
+    ("reference", "geometric", 5, bench.BYTES_PER_FINEST_VERTEX),
+    ("reference", "boxmg", 5, bench.BOXMG_BYTES_PER_FINEST_VERTEX),
+    ("pipelined", "geometric", 3, bench.PIPELINED_BYTES_PER_FINEST_VERTEX),
+])
+def test_memory_estimate_covers_the_measured_peak(engine, flavor, lmax, per_vertex):
+    """The traced peak of set-up and two cycles stays under the estimate
+    that validate uses for the run."""
+    cfg = ExperimentConfig(setup="half-jump", k=3, engine=engine, flavor=flavor,
+                           lmax=lmax, max_cycles=2)
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (3**lmax + 1) ** 2 < per_vertex
 
 
 def test_cli_help_exits_zero(capsys):

@@ -12,6 +12,7 @@ from treemg.discretization import (
 )
 from treemg.operators import (
     GEOMETRIC_RTILDE,
+    _colour_prolong,
     ElementOperator,
     TableOperator,
     TransferOps,
@@ -24,6 +25,7 @@ from treemg.operators import (
     smoothed_restriction_table,
 )
 from treemg.oracle import DenseLevel, build_hierarchy, dense_boxmg_p
+from treemg.solvers import ReferenceEngine, SolverConfig
 from treemg.spacetree import VertexKind, build_regular
 
 # Regression values of the smoothed restriction for eps = 1, omega = 1.
@@ -262,10 +264,9 @@ def test_ritz_galerkin_unit_coefficient_equals_rediscretization():
     eps = np.ones((nf, nf))
     tbl = assemble_stencil_table(eps)
     # rows without test functions do not restrict
-    masked = tbl.copy()
-    masked[0, :] = masked[-1, :] = 0.0
-    masked[:, 0] = masked[:, -1] = 0.0
-    coarse = ritz_galerkin_coarse(masked, TransferOps(geometric_p_table(nc), None))
+    dof = np.zeros((nf + 1, nf + 1), dtype=bool)
+    dof[1:-1, 1:-1] = True
+    coarse = ritz_galerkin_coarse(tbl, geometric_p_table(nc), dof)
     want = assemble_stencil_table(np.ones((nc, nc)))
     interior = np.s_[1:-1, 1:-1]
     assert np.abs(coarse[interior] - want[interior]).max() < 1e-12
@@ -276,10 +277,9 @@ def test_ritz_galerkin_differs_from_rediscretization_under_jump():
     nf = 3 * nc
     mids = (np.arange(nf) + 0.5) / nf
     eps = np.where(mids[:, None] > 0.5, 0.1, 1.0) * np.ones((1, nf))
-    masked = assemble_stencil_table(eps)
-    masked[0, :] = masked[-1, :] = 0.0
-    masked[:, 0] = masked[:, -1] = 0.0
-    coarse = ritz_galerkin_coarse(masked, TransferOps(geometric_p_table(nc), None))
+    dof = np.zeros((nf + 1, nf + 1), dtype=bool)
+    dof[1:-1, 1:-1] = True
+    coarse = ritz_galerkin_coarse(assemble_stencil_table(eps), geometric_p_table(nc), dof)
     mids_c = (np.arange(nc) + 0.5) / nc
     eps_c = np.where(mids_c[:, None] > 0.5, 0.1, 1.0) * np.ones((1, nc))
     redisc = assemble_stencil_table(eps_c)
@@ -535,7 +535,8 @@ def test_probed_ritz_galerkin_matches_dense_oracle():
     for l in (1, 2):
         coarse, fine = h.levels[l], h.levels[l + 1]
         nc = coarse.n
-        # the dense operators in the stencil-table layouts
+        # the dense operators in the stencil-table layouts; fine.a has its
+        # rows without an equation zeroed already
         p_tbl = dense_p_table(h.p[l], coarse, fine)
         a_tbl = np.zeros((fine.n + 1, fine.n + 1, 3, 3))
         for i in range(fine.n + 1):
@@ -545,7 +546,7 @@ def test_probed_ritz_galerkin_matches_dense_oracle():
                         ti, tj = i + a - 1, j + b - 1
                         if 0 <= ti <= fine.n and 0 <= tj <= fine.n:
                             a_tbl[i, j, a, b] = fine.a[fine.idx(i, j), fine.idx(ti, tj)]
-        rap = ritz_galerkin_coarse(a_tbl, TransferOps(p_tbl, None))
+        rap = ritz_galerkin_coarse(a_tbl, p_tbl, np.ones((fine.n + 1, fine.n + 1), dtype=bool))
         want = h.p[l].T @ fine.a @ h.p[l]
         scale = np.abs(want).max()
         for i in range(nc + 1):
@@ -562,15 +563,36 @@ def test_probed_ritz_galerkin_matches_dense_oracle():
 
 
 def test_probed_ritz_galerkin_rejects_weights_at_offset_three():
-    masked = assemble_stencil_table(np.ones((9, 9)))
+    tbl = assemble_stencil_table(np.ones((9, 9)))
     p = np.ascontiguousarray(geometric_p_table(3))
     p[1, 1, 0, 3] = 0.5
     with pytest.raises(ValueError):
-        ritz_galerkin_coarse(masked, TransferOps(p, None))
+        ritz_galerkin_coarse(tbl, p, np.ones((10, 10), dtype=bool))
 
 
 def bitwise_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_probes_zero_the_rows_without_an_equation_bit_for_bit(graded):
+    """On a graded mesh with hanging and Dirichlet rows, probing the
+    unmasked fine table and zeroing the rows without an equation gives the
+    coarse table of the fine table zeroed at those rows, and each colour's
+    scattered P e_c is the prolongation of e_c, both as int64 views."""
+    eng = ReferenceEngine(graded, SolverConfig(flavor="boxmg"))
+    for l in range(graded.lmin, eng.ltop):
+        fine = eng.masks[l + 1]
+        assert (~fine["dof"]).any()
+        raw = eng.ops[l + 1].table()
+        p = eng.transfers[l].p_table
+        want = ritz_galerkin_coarse(raw * fine["dof"][:, :, None, None], p,
+                                    np.ones_like(fine["dof"]))
+        assert bitwise_equal(ritz_galerkin_coarse(raw, p, fine["dof"]), want)
+        for ci, cj in np.ndindex(3, 3):
+            e = np.zeros(p.shape[:2])
+            e[ci::3, cj::3] = 1.0
+            assert bitwise_equal(_colour_prolong(p, ci, cj), eng.transfers[l].prolong(e))
+    assert any(eng.masks[l]["hanging"].any() for l in eng.masks)
 
 
 def test_stencil_tables_are_offset_major_and_read_in_either_layout():
@@ -589,8 +611,8 @@ def test_stencil_tables_are_offset_major_and_read_in_either_layout():
     p = boxmg_prolongation(tbl, refined)
     assert p.flags.c_contiguous
     assert bitwise_equal(p, boxmg_prolongation(dense, refined))
-    ops = TransferOps(p, None)
-    rap = ritz_galerkin_coarse(tbl, ops)
+    dof = np.ones((28, 28), dtype=bool)
+    rap = ritz_galerkin_coarse(tbl, p, dof)
     assert rap.transpose(2, 3, 0, 1).flags.c_contiguous
-    assert bitwise_equal(rap, ritz_galerkin_coarse(dense, ops))
+    assert bitwise_equal(rap, ritz_galerkin_coarse(dense, p, dof))
     assert smoothed_restriction_table(p, 0.6).flags.c_contiguous
