@@ -52,9 +52,9 @@ EXIT_DIVERGED = 3
 # estimated peak memory per finest-level vertex: every level stores full
 # arrays, and half-jump runs measured about 100 B at lmax 5 to 7
 BYTES_PER_FINEST_VERTEX = 128
-# the same with boxmg, whose P and R~ tables and prolongation blocks stay
-# resident: 238 B at lmax 5 and 233 B at lmax 6 (tracemalloc peak of
-# set-up and cycles)
+# the same with boxmg, whose P planes and R~ tables stay resident: 184 B
+# at lmax 5 and 176 B at lmax 6 (tracemalloc peak of set-up and cycles),
+# kept at 256 B so that the check refuses the runs it refused before
 BOXMG_BYTES_PER_FINEST_VERTEX = 256
 # the pipelined engine keeps its vertex rows in Python lists: 2.5 to 3.2 kB
 # at lmax 3 to 5, either flavour

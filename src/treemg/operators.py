@@ -18,7 +18,7 @@ interior solves read their boundary weights back from P.
 The auxiliary damping solver additionally needs a smoothed restriction
 R~ = omega * R A diag(A)^-1, composed as stencils.  The composition spans
 9x9 fine offsets, but its outer ring is empty, because every P here has no
-weight at offsets +-3 (ritz_galerkin_coarse and smoothed_restriction_table
+weight at offsets +-3 (prolongation_planes and smoothed_restriction_table
 raise otherwise); so R~ fits the 7x7 footprint of the tripartitioning
 transfer operators exactly.  It is built from the unit-coefficient
 operator on every level, which removes the material parameter from the
@@ -41,28 +41,31 @@ coupling vertex (i, j) to (i+a-1, j+b-1).  They are stored offset-major:
 assemble_stencil_table and ritz_galerkin_coarse fill a C-contiguous
 (3, 3, n+1, n+1) array of offset planes and return its transpose(2, 3, 0,
 1) view, so that the kernels, which work one offset at a time, read
-contiguous planes.  Transfer tables are C-contiguous (nc+1, nc+1, 7, 7)
-with table[i, j, a, b] the weight between coarse vertex (i, j) and fine
-vertex (3i+a-3, 3j+b-3); einsum sums their contractions in an order set
-by the strides, so this layout is part of the results.
+contiguous planes.  Transfer tables are (nc+1, nc+1, 7, 7) with
+table[i, j, a, b] the weight between coarse vertex (i, j) and fine vertex
+(3i+a-3, 3j+b-3).  R~ is one, C-contiguous: einsum contracts it in an
+order set by the strides, so this layout is part of the results.  A boxmg
+P is kept once, as the C-contiguous (5, 5, nc+1, nc+1) array of its 25
+nonzero offset planes, planes[a+2, b+2] the weights at offset (a, b)
+(prolongation_planes); its 7x7 table is rebuilt (prolongation_table) only
+to compose R~ and for the pipelined engine's rows.
 
-The table transfers work on whole levels.  Restriction by a P table, and
-the smoothed R~ of both flavours (one 7x7 stencil for the geometric one),
-contract the table with a view of the 7x7 windows at stride 3 of the fine
-field zero-padded by 3.  Prolongation splits each offset as
-o+3 = 3q + r (q, r in 0..2): fine vertex 3v+o is entry r of block v+q of
-the fine field padded by 3 and viewed as (nc+3, 3, nc+3, 3).  The 3x3
-blocks of P that hold a nonzero weight (the four with q in {0, 1}, as P
-has no weight at offsets +-3) are kept as contiguous (nc+1, 3, nc+1, 3)
-copies and added with one operation each.  The Galerkin probes prolong
-indicators of one colour of coarse vertices, whose weight windows do not
-overlap; they scatter the weights from the P table into zeros instead.
+The table transfers work on whole levels.  R~ (one 7x7 stencil for the
+geometric flavour) is contracted by einsum with a view of the 7x7 windows
+at stride 3 of the fine field zero-padded by 3; restriction by P adds the
+products of its planes with those windows one plane at a time, in the
+order einsum sums them (_restrict_planes).  Prolongation splits each
+offset as o+3 = 3q + r (q, r in 0..2): fine vertex 3v+o is entry r of
+block v+q of the fine field padded by 3 and viewed as (nc+2, 3, nc+2, 3),
+and the planes of each block (qa, qb), q in {0, 1}, are added with one
+operation.  The Galerkin probes prolong indicators of one colour of
+coarse vertices, whose weight windows do not overlap; they scatter the
+weights from the planes into zeros instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .discretization import ELEMENT_MATRIX_UNIT, CORNER_OFFSETS, interior_stencil
 
@@ -76,6 +79,8 @@ __all__ = [
     "boxmg_prolongation",
     "ritz_galerkin_coarse",
     "smoothed_restriction_table",
+    "prolongation_planes",
+    "prolongation_table",
     "GEOMETRIC_RTILDE",
     "TransferOps",
 ]
@@ -231,16 +236,13 @@ _INTERIOR_BLOCK = 1024
 
 
 def _windows(fine: np.ndarray) -> np.ndarray:
-    """View of the 7x7 windows of fine at stride 3: entry [v, o] is
-    fine[3v + o - 3] over the first two axes, zero outside the grid.
-
-    fine is a fine vertex field, optionally with trailing axes, which come
-    before the two window axes: (nf+1, nf+1, *rest) -> (nc+1, nc+1, *rest,
-    7, 7).
-    """
-    pad = np.zeros((fine.shape[0] + 6, fine.shape[1] + 6) + fine.shape[2:], dtype=fine.dtype)
+    """View of the 7x7 windows of fine at stride 3, (nc+1, nc+1, 7, 7):
+    entry [v, o] is fine[3v + o - 3], zero outside the grid."""
+    pad = np.zeros((fine.shape[0] + 6, fine.shape[1] + 6), dtype=fine.dtype)
     pad[3:-3, 3:-3] = fine
-    return sliding_window_view(pad, (7, 7), axis=(0, 1))[::3, ::3]
+    s0, s1 = pad.strides
+    n1 = (fine.shape[0] - 1) // 3 + 1, (fine.shape[1] - 1) // 3 + 1
+    return np.ndarray(n1 + (7, 7), fine.dtype, pad, strides=(3 * s0, 3 * s1, s0, s1))
 
 
 def _solve_gamma(a_m1, a_01, a_p1, a_m2, a_02, a_p2, active):
@@ -367,79 +369,115 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
 # -- table-driven transfers -------------------------------------------------
 
 
-def _contract_windows(fine: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """out[v] = sum_o table[v, o] * fine[3v + o] over the 7x7 offsets o.
-
-    table is (nc+1, nc+1, 7, 7) or one (7, 7) stencil for all v; fine
-    samples outside the grid read as zero.
-    """
-    return np.einsum("...ab,...ab->...", _windows(fine), table)
-
-
-def _p_blocks(p_table: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
-    """The 3x3 blocks (qi, qj) of P holding a nonzero weight, each as a
-    contiguous (nc+1, 3, nc+1, 3) array [vi, ri, vj, rj] of the weight at
-    offset (3qi+ri-3, 3qj+rj-3)."""
-    nc1 = p_table.shape[0]
-    blocks = []
-    for qi in range(3):
-        for qj in range(3):
-            sub = p_table[:, :, 3 * qi : 3 * qi + 3, 3 * qj : 3 * qj + 3]
-            if not sub.any():
-                continue
-            blk = np.zeros((nc1, 3, nc1, 3))
-            blk[:, : sub.shape[2], :, : sub.shape[3]] = sub.transpose(0, 2, 1, 3)
-            blocks.append((qi, qj, blk))
-    return blocks
-
-
-def _prolong_blocks(coarse: np.ndarray, blocks) -> np.ndarray:
-    """fine[f] = sum of p[v, o] * coarse[v] over 3v + o == f, from the
-    blocks of _p_blocks; targets outside the grid are dropped."""
-    nc = coarse.shape[0] - 1
-    fine = np.zeros((nc + 3, 3, nc + 3, 3))
-    # spread coarse over the block layout once: products of equal-shaped
-    # arrays run faster than a broadcast over the length-3 inner axes
-    c = np.empty((nc + 1, 3, nc + 1, 3))
-    c[...] = coarse[:, None, :, None]
-    for qi, qj, blk in blocks:
-        fine[qi : qi + nc + 1, :, qj : qj + nc + 1, :] += blk * c
-    fine = fine.reshape(3 * nc + 9, 3 * nc + 9)
-    return fine[3 : 3 * nc + 4, 3 : 3 * nc + 4]
-
-
 def _require_no_weight_at_three(p_table: np.ndarray) -> None:
     if p_table[..., ::6, :].any() or p_table[..., ::6].any():
         raise ValueError("prolongation weights at offsets +-3 must vanish")
 
 
-def _colour_prolong(p_table: np.ndarray, ci: int, cj: int) -> np.ndarray:
+def prolongation_planes(p_table: np.ndarray) -> np.ndarray:
+    """The 25 offset planes of the transfer table p_table, offsets -2..2:
+    a C-contiguous (5, 5, nc+1, nc+1) array, planes[a+2, b+2, i, j] =
+    p_table[i, j, a+3, b+3].  Raises ValueError on a weight at offsets +-3,
+    which the planes cannot hold."""
+    _require_no_weight_at_three(p_table)
+    return np.ascontiguousarray(p_table[:, :, 1:6, 1:6].transpose(2, 3, 0, 1))
+
+
+def prolongation_table(planes: np.ndarray) -> np.ndarray:
+    """The C-contiguous (nc+1, nc+1, 7, 7) transfer table of the offset
+    planes, +0.0 at offsets +-3."""
+    n1 = planes.shape[2:]
+    table = np.zeros(n1 + (7, 7))
+    table[:, :, 1:6, 1:6] = planes.transpose(2, 3, 0, 1)
+    return table
+
+
+def _accumulator_order(parity: int) -> tuple[tuple[int, int], ...]:
+    """Offsets (a, b) added into restriction accumulator parity, in order:
+    the flat 7x7 indices k = 7(a+3) + b+3 of that parity, descending in
+    each run of eight from k = 0, then k = 48, without offsets +-3."""
+    ks = [k for base in range(0, 48, 8) for k in range(base + 6 + parity, base - 1, -2)]
+    ks += [48] if parity == 0 else []
+    return tuple((k // 7 - 3, k % 7 - 3) for k in ks if 1 <= k // 7 <= 5 and 1 <= k % 7 <= 5)
+
+
+# The order in which numpy's einsum sums the 49 products of a 7x7 window
+# contraction, in two accumulators.
+_RESTRICT_ORDER = (_accumulator_order(0), _accumulator_order(1))
+
+
+def _restrict_planes(fine: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """R = P^T from the offset planes: out[v] = sum over the offsets o of
+    P[v, o] * fine[3v + o], fine samples outside the grid read as zero.
+
+    Each product P_o is added as acc = P_o + acc, in the orders of
+    _RESTRICT_ORDER into two accumulators from +0.0, and out is acc0 +
+    acc1: the sums of einsum over the 7x7 table, bit for bit.  The ones
+    left out, of the zero weights at offsets +-3, are +-0 and cannot
+    change an accumulator that starts at +0.0, which never becomes -0.0;
+    only at an inf or NaN sample did they make a NaN.
+    """
+    n1 = planes.shape[2:]
+    win = _windows(fine).transpose(2, 3, 0, 1)
+    acc = np.zeros((2,) + n1)
+    tmp = np.empty(n1)
+    for acc_k, order in zip(acc, _RESTRICT_ORDER):
+        for a, b in order:
+            np.multiply(planes[a + 2, b + 2], win[a + 3, b + 3], out=tmp)
+            np.add(tmp, acc_k, out=acc_k)
+    return np.add(acc[0], acc[1])
+
+
+# The fine-block entries r = o+3 mod 3 and the planes o+2 of the offsets o
+# of block q = 0 (offsets -2, -1) and q = 1 (0..2).
+_BLOCKS = ((slice(1, 3), slice(0, 2)), (slice(0, 3), slice(2, 5)))
+
+
+def _prolong_planes(coarse: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """fine[f] = sum of P[v, o] * coarse[v] over 3v + o == f; targets
+    outside the grid are dropped.  A fine vertex takes at most one term
+    from each block (qa, qb), and the terms are added onto +0.0 in the
+    block order (0, 0), (0, 1), (1, 0), (1, 1)."""
+    nc = coarse.shape[0] - 1
+    fine = np.zeros((nc + 2, 3, nc + 2, 3))
+    for qa, (ra, pa) in enumerate(_BLOCKS):
+        for qb, (rb, pb) in enumerate(_BLOCKS):
+            dst = fine[qa : qa + nc + 1, ra, qb : qb + nc + 1, rb].transpose(1, 3, 0, 2)
+            np.add(dst, planes[pa, pb] * coarse, out=dst)
+    fine = fine.reshape(3 * nc + 6, 3 * nc + 6)
+    return fine[3 : 3 * nc + 4, 3 : 3 * nc + 4]
+
+
+def _colour_prolong(planes: np.ndarray, ci: int, cj: int) -> np.ndarray:
     """P e_c for the colour indicator e_c, 1 at the coarse vertices v with
     v mod 3 == (ci, cj), scattered straight from the weights of those
-    vertices.  Their 7x7 windows lie 9 fine vertices apart and so never
+    vertices.  Their 5x5 windows lie 9 fine vertices apart and so never
     overlap; each weight is added once onto +0.0, the sum that a full
     prolongation of e_c leaves there.  Targets outside the grid are
     dropped."""
-    nc = p_table.shape[0] - 1
+    nc = planes.shape[2] - 1
     m = (nc - ci) // 3 + 1, (nc - cj) // 3 + 1
-    # padded fine index 3v + o holds fine vertex 3v + o - 3; the windows of
+    # padded fine index 3v + o + 3 holds fine vertex 3v + o; the windows of
     # the colour start at 3c and run in steps of 9
     pad = np.zeros((3 * nc + 9, 3 * nc + 9))
     win = pad[3 * ci : 3 * ci + 9 * m[0], 3 * cj : 3 * cj + 9 * m[1]].reshape(m[0], 9, m[1], 9)
-    win[:, :7, :, :7] += p_table[ci::3, cj::3].transpose(0, 2, 1, 3)
+    win[:, 1:6, :, 1:6] += planes[:, :, ci::3, cj::3].transpose(2, 0, 3, 1)
     return pad[3 : 3 * nc + 4, 3 : 3 * nc + 4]
 
 
-def ritz_galerkin_coarse(fine_table: np.ndarray, p_table: np.ndarray,
+def ritz_galerkin_coarse(fine_table: np.ndarray, p_planes: np.ndarray,
                          dof: np.ndarray) -> np.ndarray:
-    """Coarse stencil table A_c = R A P from fine stencils and the
-    prolongation weights p_table, as an offset-major table.
+    """Coarse stencil table A_c = R A P from fine stencils and the offset
+    planes p_planes of P (prolongation_planes), as an offset-major table.
 
     dof is the fine level's boolean mask of the vertices that carry an
     equation; restriction only gathers residuals from those, so the other
     rows of each A P e_c are set to +0.0.  That equals the product with
     fine_table zeroed at those rows bit for bit: such a row would sum only
-    +-0 products onto +0.0.  R = P^T.
+    +-0 products onto +0.0.  R = P^T, restricting with the kernel of the
+    cycles (_restrict_planes), whose sums equal those of an einsum over
+    the 7x7 table except that a weight at offsets +-3, always zero, no
+    longer turns an inf in A P e_c into a NaN.
 
     A_c is probed with nine coloured coarse vectors e_c, 1 at the vertices
     v with v mod 3 == c (_colour_prolong).  P has no weight at offsets +-3,
@@ -448,16 +486,15 @@ def ritz_galerkin_coarse(fine_table: np.ndarray, p_table: np.ndarray,
     c = (w + dw) mod 3.  Entries towards vertices outside the grid come out
     zero, as no vertex of their colour lies within reach.
     """
-    _require_no_weight_at_three(p_table)
-    nc = p_table.shape[0] - 1
+    nc = p_planes.shape[2] - 1
     op = TableOperator(fine_table)
     no_equation = ~dof
     probed = np.empty((3, 3, nc + 1, nc + 1))
     for ci in range(3):
         for cj in range(3):
-            ape = op.apply(_colour_prolong(p_table, ci, cj))
+            ape = op.apply(_colour_prolong(p_planes, ci, cj))
             ape[no_equation] = 0.0
-            probed[ci, cj] = _contract_windows(ape, p_table)
+            probed[ci, cj] = _restrict_planes(ape, p_planes)
     v = np.arange(nc + 1)
     planes = np.empty((3, 3, nc + 1, nc + 1))
     for a in range(3):
@@ -517,34 +554,38 @@ GEOMETRIC_RTILDE.flags.writeable = False
 class TransferOps:
     """Transfer operators between one coarse level and the next finer one.
 
-    With p_table None, prolongation and restriction are the separable
-    d-linear kernels; otherwise the per-vertex weight tables, whose blocks
-    for prolongation (_p_blocks) are built once here for the cycles (the
-    probes of ritz_galerkin_coarse scatter from p_table instead).
-    Restriction is always the transpose of prolongation and accumulates
-    (it never averages).
+    With p_planes None, prolongation and restriction are the separable
+    d-linear kernels; otherwise P's 25 offset planes (prolongation_planes),
+    its one storage, which prolongation scatters from and restriction
+    contracts with the 7x7 windows of the fine field.  p_table rebuilds
+    P's 7x7 table on each read.  Restriction is always the transpose of
+    prolongation and accumulates (it never averages).
 
     rtilde holds the smoothed restriction weights, a (7, 7) stencil (a
     multiple of GEOMETRIC_RTILDE) or an (nc+1, nc+1, 7, 7) table, both from
     smoothed_restriction_table, or None when no damping equation is solved;
     restrict_smoothed contracts it with the 7x7 windows of the fine field
-    for both flavours.
+    by einsum for both flavours.
     """
 
-    def __init__(self, p_table: np.ndarray | None, rtilde: np.ndarray | None):
-        self.p_table = p_table
+    def __init__(self, p_planes: np.ndarray | None, rtilde: np.ndarray | None):
+        self.p_planes = p_planes
         self.rtilde = rtilde
-        self._blocks = None if p_table is None else _p_blocks(p_table)
+
+    @property
+    def p_table(self) -> np.ndarray | None:
+        """P as a new (nc+1, nc+1, 7, 7) table, None for d-linear."""
+        return None if self.p_planes is None else prolongation_table(self.p_planes)
 
     def prolong(self, coarse: np.ndarray) -> np.ndarray:
-        if self.p_table is None:
+        if self.p_planes is None:
             return prolong_values(coarse)
-        return _prolong_blocks(coarse, self._blocks)
+        return _prolong_planes(coarse, self.p_planes)
 
     def restrict(self, fine: np.ndarray) -> np.ndarray:
-        if self.p_table is None:
+        if self.p_planes is None:
             return restrict_dlinear(fine)
-        return _contract_windows(fine, self.p_table)
+        return _restrict_planes(fine, self.p_planes)
 
     def restrict_smoothed(self, fine: np.ndarray) -> np.ndarray:
-        return _contract_windows(fine, self.rtilde)
+        return np.einsum("...ab,...ab->...", _windows(fine), self.rtilde)

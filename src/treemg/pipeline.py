@@ -208,7 +208,7 @@ class PipelineEngine(ReferenceEngine):
                 ci, cj = np.minimum(ci, nc), np.minimum(cj, nc)
                 oi = np.clip(I[:, None] - 3 * ci, -3, 3) + 3
                 oj = np.clip(J[:, None] - 3 * cj, -3, 3) + 3
-                w = geo[oi, oj] if tr.p_table is None else tr.p_table[ci, cj, oi, oj]
+                w = geo[oi, oj] if tr.p_planes is None else tr.p_table[ci, cj, oi, oj]
                 rows["prow"][span] = _ragged(ok & (w != 0.0), ids(lc, ci, cj), w)
                 if jac:
                     rt = tr.rtilde[oi, oj] if tr.rtilde.ndim == 2 else tr.rtilde[ci, cj, oi, oj]

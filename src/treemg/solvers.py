@@ -51,6 +51,8 @@ from .operators import (
     assemble_stencil_table,
     boxmg_prolongation,
     prolong_values,
+    prolongation_planes,
+    prolongation_table,
     ritz_galerkin_coarse,
     smoothed_restriction_table,
 )
@@ -168,10 +170,11 @@ class ReferenceEngine:
         # whose own midpoint sees the weak material but whose children
         # contain the stiff one gets a diagonal orders of magnitude below
         # the residuals restricted into it, and every additive variant
-        # explodes on the inclusion and checkerboard setups.
+        # explodes on the inclusion and checkerboard setups.  Levels without
+        # refined cells share tree.eps[l]; nothing writes to either.
         self.eff_eps: dict[int, np.ndarray] = {}
         for l in range(self.ltop, tree.lmin - 1, -1):
-            eff = tree.eps[l].copy()
+            eff = tree.eps[l]
             if l < tree.lmax and tree.refined[l].any():
                 n = 3**l
                 avg = self.eff_eps[l + 1].reshape(n, 3, n, 3).mean(axis=(1, 3))
@@ -232,17 +235,20 @@ class ReferenceEngine:
             raw = self.ops[self.ltop].table()
             for l in range(self.ltop - 1, tree.lmin - 1, -1):
                 refined = tree.refined[l] & tree.cells_exist(l)
-                p_tbl = boxmg_prolongation(raw, refined, self.masks[l + 1]["hanging"])
-                rap = ritz_galerkin_coarse(raw, p_tbl, self.masks[l + 1]["dof"])
+                planes = prolongation_planes(
+                    boxmg_prolongation(raw, refined, self.masks[l + 1]["hanging"]))
+                rap = ritz_galerkin_coarse(raw, planes, self.masks[l + 1]["dof"])
                 tbl = assemble_stencil_table(eps_masked[l])
                 overlap = self.masks[l]["overlapped"]
                 np.copyto(tbl, rap, where=overlap[:, :, None, None])
                 self.ops[l] = TableOperator(tbl)
-                # the transfer blocks and R~ come after the finer table is
-                # released, which the top level's is here
+                # R~ comes after the finer table is released, which the top
+                # level's is here; P's 7x7 table lives only while R~ is
+                # composed from it
                 raw = tbl
-                rt = smoothed_restriction_table(p_tbl, self.cfg.omega) if want_rt else None
-                self.transfers[l] = TransferOps(p_tbl, rt)
+                rt = (smoothed_restriction_table(prolongation_table(planes), self.cfg.omega)
+                      if want_rt else None)
+                self.transfers[l] = TransferOps(planes, rt)
 
         # the operators of each level's leaf cells, which alone form its
         # residual; none where every cell of a level is refined

@@ -13,6 +13,8 @@ from treemg.discretization import (
 from treemg.operators import (
     GEOMETRIC_RTILDE,
     _colour_prolong,
+    _prolong_planes,
+    _restrict_planes,
     ElementOperator,
     TableOperator,
     TransferOps,
@@ -20,6 +22,8 @@ from treemg.operators import (
     boxmg_prolongation,
     geometric_prolongation,
     prolong_values,
+    prolongation_planes,
+    prolongation_table,
     restrict_dlinear,
     ritz_galerkin_coarse,
     smoothed_restriction_table,
@@ -224,7 +228,7 @@ def test_boxmg_reproduces_constants():
     rng = np.random.default_rng(5)
     eps = rng.uniform(0.1, 3.0, size=(3 * nc, 3 * nc))
     p = boxmg_prolongation(assemble_stencil_table(eps), np.ones((nc, nc), dtype=bool))
-    ops = TransferOps(p, None)
+    ops = TransferOps(prolongation_planes(p), None)
     ones = np.ones((nc + 1, nc + 1))
     fine = ops.prolong(ones)
     # rows over interior fine vertices sum to one
@@ -266,7 +270,7 @@ def test_ritz_galerkin_unit_coefficient_equals_rediscretization():
     # rows without test functions do not restrict
     dof = np.zeros((nf + 1, nf + 1), dtype=bool)
     dof[1:-1, 1:-1] = True
-    coarse = ritz_galerkin_coarse(tbl, geometric_p_table(nc), dof)
+    coarse = ritz_galerkin_coarse(tbl, prolongation_planes(geometric_p_table(nc)), dof)
     want = assemble_stencil_table(np.ones((nc, nc)))
     interior = np.s_[1:-1, 1:-1]
     assert np.abs(coarse[interior] - want[interior]).max() < 1e-12
@@ -279,7 +283,8 @@ def test_ritz_galerkin_differs_from_rediscretization_under_jump():
     eps = np.where(mids[:, None] > 0.5, 0.1, 1.0) * np.ones((1, nf))
     dof = np.zeros((nf + 1, nf + 1), dtype=bool)
     dof[1:-1, 1:-1] = True
-    coarse = ritz_galerkin_coarse(assemble_stencil_table(eps), geometric_p_table(nc), dof)
+    coarse = ritz_galerkin_coarse(assemble_stencil_table(eps),
+                                  prolongation_planes(geometric_p_table(nc)), dof)
     mids_c = (np.arange(nc) + 0.5) / nc
     eps_c = np.where(mids_c[:, None] > 0.5, 0.1, 1.0) * np.ones((1, nc))
     redisc = assemble_stencil_table(eps_c)
@@ -335,7 +340,7 @@ def test_transfer_ops_geometric_and_table_paths_agree():
     coarse = rng.standard_normal((nc + 1, nc + 1))
     fine = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
     geo = TransferOps(None, None)
-    tab = TransferOps(np.ascontiguousarray(geometric_p_table(nc)), None)
+    tab = TransferOps(prolongation_planes(geometric_p_table(nc)), None)
     assert np.allclose(geo.prolong(coarse), tab.prolong(coarse), atol=1e-13)
     assert np.allclose(geo.restrict(fine), tab.restrict(fine), atol=1e-13)
 
@@ -390,7 +395,7 @@ def test_table_prolong_of_unit_vectors_reproduces_weights(nc, partial):
             assert p[vi, vj, a, b] == geo[a, b]
             hanging += 1
     assert (hanging > 0) == partial
-    ops = TransferOps(p, None)
+    ops = TransferOps(prolongation_planes(p), None)
     padded = np.zeros((3 * nc + 7, 3 * nc + 7))
     for vi in range(nc + 1):
         for vj in range(nc + 1):
@@ -405,7 +410,7 @@ def test_table_prolong_of_unit_vectors_reproduces_weights(nc, partial):
 def test_table_restrict_is_prolong_transpose(partial):
     rng = np.random.default_rng(23)
     nc = 9
-    ops = TransferOps(boxmg_level(nc, partial)[0], None)
+    ops = TransferOps(prolongation_planes(boxmg_level(nc, partial)[0]), None)
     c = rng.standard_normal((nc + 1, nc + 1))
     f = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
     lhs = float((ops.prolong(c) * f).sum())
@@ -420,11 +425,11 @@ def test_table_restrict_smoothed_reads_the_table():
     p = boxmg_level(nc, partial=True)[0]
     f = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
     rt = smoothed_restriction_table(p, 0.6)
-    got = TransferOps(p, rt).restrict_smoothed(f)
+    got = TransferOps(prolongation_planes(p), rt).restrict_smoothed(f)
     assert np.allclose(got, contract_by_definition(rt, f), atol=1e-13)
     # one constant stencil for every vertex
     const = GEOMETRIC_RTILDE * 0.6
-    got = TransferOps(p, const).restrict_smoothed(f)
+    got = TransferOps(prolongation_planes(p), const).restrict_smoothed(f)
     want = contract_by_definition(np.broadcast_to(const, (nc + 1, nc + 1, 7, 7)), f)
     assert np.allclose(got, want, atol=1e-13)
 
@@ -546,7 +551,8 @@ def test_probed_ritz_galerkin_matches_dense_oracle():
                         ti, tj = i + a - 1, j + b - 1
                         if 0 <= ti <= fine.n and 0 <= tj <= fine.n:
                             a_tbl[i, j, a, b] = fine.a[fine.idx(i, j), fine.idx(ti, tj)]
-        rap = ritz_galerkin_coarse(a_tbl, p_tbl, np.ones((fine.n + 1, fine.n + 1), dtype=bool))
+        rap = ritz_galerkin_coarse(a_tbl, prolongation_planes(p_tbl),
+                                   np.ones((fine.n + 1, fine.n + 1), dtype=bool))
         want = h.p[l].T @ fine.a @ h.p[l]
         scale = np.abs(want).max()
         for i in range(nc + 1):
@@ -566,8 +572,9 @@ def test_probed_ritz_galerkin_rejects_weights_at_offset_three():
     tbl = assemble_stencil_table(np.ones((9, 9)))
     p = np.ascontiguousarray(geometric_p_table(3))
     p[1, 1, 0, 3] = 0.5
-    with pytest.raises(ValueError):
-        ritz_galerkin_coarse(tbl, p, np.ones((10, 10), dtype=bool))
+    # the probes take P as its offset planes, which cannot hold the weight
+    with pytest.raises(ValueError, match="offsets"):
+        ritz_galerkin_coarse(tbl, prolongation_planes(p), np.ones((10, 10), dtype=bool))
 
 
 def bitwise_equal(a, b):
@@ -584,12 +591,12 @@ def test_probes_zero_the_rows_without_an_equation_bit_for_bit(graded):
         fine = eng.masks[l + 1]
         assert (~fine["dof"]).any()
         raw = eng.ops[l + 1].table()
-        p = eng.transfers[l].p_table
+        p = eng.transfers[l].p_planes
         want = ritz_galerkin_coarse(raw * fine["dof"][:, :, None, None], p,
                                     np.ones_like(fine["dof"]))
         assert bitwise_equal(ritz_galerkin_coarse(raw, p, fine["dof"]), want)
         for ci, cj in np.ndindex(3, 3):
-            e = np.zeros(p.shape[:2])
+            e = np.zeros(p.shape[2:])
             e[ci::3, cj::3] = 1.0
             assert bitwise_equal(_colour_prolong(p, ci, cj), eng.transfers[l].prolong(e))
     assert any(eng.masks[l]["hanging"].any() for l in eng.masks)
@@ -612,7 +619,143 @@ def test_stencil_tables_are_offset_major_and_read_in_either_layout():
     assert p.flags.c_contiguous
     assert bitwise_equal(p, boxmg_prolongation(dense, refined))
     dof = np.ones((28, 28), dtype=bool)
-    rap = ritz_galerkin_coarse(tbl, p, dof)
+    rap = ritz_galerkin_coarse(tbl, prolongation_planes(p), dof)
     assert rap.transpose(2, 3, 0, 1).flags.c_contiguous
-    assert bitwise_equal(rap, ritz_galerkin_coarse(dense, p, dof))
+    assert bitwise_equal(rap, ritz_galerkin_coarse(dense, prolongation_planes(p), dof))
     assert smoothed_restriction_table(p, 0.6).flags.c_contiguous
+
+
+# -- offset planes of P ------------------------------------------------------
+
+
+def signed_zero_field(rng, shape):
+    """Normal samples with about a fifth of them +0.0 and a fifth -0.0."""
+    f = rng.standard_normal(shape)
+    pick = rng.random(shape)
+    f[pick < 0.2] = 0.0
+    f[(pick >= 0.2) & (pick < 0.4)] = -0.0
+    return f
+
+
+def random_p_table(rng, nc):
+    """Weights of both signs, +-0.0 among them, none at offsets +-3."""
+    p = signed_zero_field(rng, (nc + 1, nc + 1, 7, 7))
+    p[:, :, ::6] = 0.0
+    p[:, :, :, ::6] = 0.0
+    return p
+
+
+def p_tables(source, graded):
+    """(name, P table) pairs of one kind of prolongation."""
+    if source == "geometric":
+        return [("geometric", np.ascontiguousarray(geometric_p_table(9)))]
+    if source == "boxmg":
+        return [("boxmg", boxmg_level(9, partial=False)[0])]
+    if source == "random":
+        rng = np.random.default_rng(41)
+        return [(f"random {nc}", random_p_table(rng, nc)) for nc in (1, 3, 9)]
+    eng = ReferenceEngine(graded, SolverConfig(flavor="boxmg"))
+    return [(f"graded {l}", tr.p_table) for l, tr in eng.transfers.items()]
+
+
+def restrict_in_einsum_order(p, fine):
+    """out[v] = sum_k p[v, k] * fine[3v + o_k] over all 49 flat offsets k =
+    7(a+3) + b+3 of the 7x7 table, samples outside the grid read as +0.0:
+    the even k go to one accumulator in the order 6, 4, 2, 0, 14, 12, 10,
+    8, ..., 46, 44, 42, 40, 48, the odd k to another in the order 7, 5, 3,
+    1, ..., 47, 45, 43, 41, each as acc = product + acc from +0.0, and out
+    is acc0 + acc1."""
+    nc = p.shape[0] - 1
+    nf = 3 * nc
+    even = [k for base in range(0, 48, 8) for k in (base + 6, base + 4, base + 2, base)] + [48]
+    odd = [k + 1 for k in even[:-1]]
+    out = np.zeros((nc + 1, nc + 1))
+    for vi in range(nc + 1):
+        for vj in range(nc + 1):
+            accs = []
+            for order in (even, odd):
+                acc = 0.0
+                for k in order:
+                    fi, fj = 3 * vi + k // 7 - 3, 3 * vj + k % 7 - 3
+                    x = fine[fi, fj] if 0 <= fi <= nf and 0 <= fj <= nf else 0.0
+                    acc = float(p[vi, vj, k // 7, k % 7]) * float(x) + acc
+                accs.append(acc)
+            out[vi, vj] = accs[0] + accs[1]
+    return out
+
+
+def prolong_in_block_order(p, coarse, colour=None):
+    """fine[f] = sum of p[v, o] * coarse[v] over 3v + o == f, one term at a
+    time onto +0.0, the offsets of block (qa, qb) = (0, 0), (0, 1), (1, 0),
+    (1, 1) in turn, q = 0 for offsets -3..-1 and 1 for 0..2.  With colour
+    (ci, cj), P e_c for the indicator of the vertices v = c mod 3, whose
+    weights are added as they are."""
+    nc = p.shape[0] - 1
+    nf = 3 * nc
+    fine = np.zeros((nf + 1, nf + 1))
+    blocks = (range(-3, 0), range(0, 3))
+    for qa, qb in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for vi in range(nc + 1):
+            for vj in range(nc + 1):
+                if colour is not None and (vi % 3, vj % 3) != colour:
+                    continue
+                for a in blocks[qa]:
+                    for b in blocks[qb]:
+                        fi, fj = 3 * vi + a, 3 * vj + b
+                        if 0 <= fi <= nf and 0 <= fj <= nf:
+                            w = float(p[vi, vj, a + 3, b + 3])
+                            term = w if colour is not None else w * float(coarse[vi, vj])
+                            fine[fi, fj] = fine[fi, fj] + term
+    return fine
+
+
+@pytest.mark.parametrize("source", ["geometric", "boxmg", "graded", "random"])
+def test_plane_restriction_sums_in_einsum_order_bit_for_bit(source, graded):
+    rng = np.random.default_rng(43)
+    for name, p in p_tables(source, graded):
+        nc = p.shape[0] - 1
+        fine = signed_zero_field(rng, (3 * nc + 1, 3 * nc + 1))
+        got = _restrict_planes(fine, prolongation_planes(p))
+        assert bitwise_equal(got, restrict_in_einsum_order(p, fine)), name
+        assert bitwise_equal(TransferOps(prolongation_planes(p), None).restrict(fine), got)
+
+
+@pytest.mark.parametrize("source", ["geometric", "boxmg", "graded", "random"])
+def test_plane_prolongation_adds_in_block_order_bit_for_bit(source, graded):
+    rng = np.random.default_rng(47)
+    for name, p in p_tables(source, graded):
+        nc = p.shape[0] - 1
+        planes = prolongation_planes(p)
+        coarse = signed_zero_field(rng, (nc + 1, nc + 1))
+        assert bitwise_equal(_prolong_planes(coarse, planes),
+                             prolong_in_block_order(p, coarse)), name
+        for ci, cj in np.ndindex(3, 3):
+            got = np.ascontiguousarray(_colour_prolong(planes, ci, cj))
+            assert bitwise_equal(got, prolong_in_block_order(p, None, (ci, cj))), (name, ci, cj)
+
+
+def test_boxmg_transfers_hold_p_once_as_offset_planes(graded):
+    """After set-up each boxmg TransferOps holds P as 25 owned planes of
+    (nc+1)^2 weights and nothing else of P; p_table rebuilds the table
+    boxmg_prolongation returned, bit for bit."""
+    eng = ReferenceEngine(graded, SolverConfig(flavor="boxmg"))
+    assert eng.transfers
+    for l, tr in eng.transfers.items():
+        nc = 3**l
+        planes = tr.p_planes
+        assert planes.nbytes == 25 * 8 * (nc + 1) ** 2
+        assert planes.base is None and planes.flags.c_contiguous
+        held = [v for v in vars(tr).values() if isinstance(v, np.ndarray)]
+        assert len(held) == 2 and any(v is planes for v in held)
+        assert any(v is tr.rtilde for v in held)
+        refined = graded.refined[l] & graded.cells_exist(l)
+        want = boxmg_prolongation(eng.ops[l + 1].table(), refined, eng.masks[l + 1]["hanging"])
+        table = tr.p_table
+        assert table.flags.c_contiguous and bitwise_equal(table, want)
+        assert bitwise_equal(prolongation_planes(table), planes)
+        assert bitwise_equal(prolongation_table(planes), table)
+        for at_three in ((1, 1, 0, 3), (2, 0, 4, 6), (0, 2, 6, 6)):
+            bad = table.copy()
+            bad[at_three] = -0.5
+            with pytest.raises(ValueError, match="offsets"):
+                prolongation_planes(bad)

@@ -5,6 +5,7 @@ from treemg.discretization import constant_field, half_domain_jump, needle_inclu
 from treemg.operators import (
     assemble_stencil_table,
     boxmg_prolongation,
+    prolongation_planes,
     ritz_galerkin_coarse,
 )
 from treemg.oracle import (
@@ -110,7 +111,7 @@ def test_dense_galerkin_matches_stencil_rap():
     dofmask = tree.dof_mask(2)
     p_tbl = boxmg_prolongation(tbl, np.ones((3, 3), dtype=bool),
                                tree.vertex_kinds(2) == VertexKind.HANGING)
-    rap = ritz_galerkin_coarse(tbl, p_tbl, dofmask)
+    rap = ritz_galerkin_coarse(tbl, prolongation_planes(p_tbl), dofmask)
     n = 3
     for i in range(1, n):
         for j in range(1, n):
