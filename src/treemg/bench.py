@@ -53,8 +53,9 @@ EXIT_DIVERGED = 3
 # arrays, and half-jump runs measured about 100 B at lmax 5 to 7
 BYTES_PER_FINEST_VERTEX = 128
 # the same with boxmg, whose P planes and R~ tables stay resident: 184 B
-# at lmax 5 and 176 B at lmax 6 (tracemalloc peak of set-up and cycles),
-# kept at 256 B so that the check refuses the runs it refused before
+# at lmax 5 and 176 B at lmax 6 (tracemalloc peak of half-jump k=3 runs
+# over set-up and every cycle, the BoxMG levels built one per cycle after
+# cycle 0), kept at 256 B so that the check refuses the runs it refused before
 BOXMG_BYTES_PER_FINEST_VERTEX = 256
 # the pipelined engine keeps its vertex rows in Python lists: 2.5 to 3.2 kB
 # at lmax 3 to 5, either flavour

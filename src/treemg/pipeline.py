@@ -36,6 +36,11 @@ requirement is iterate equality with the level-by-level reference engine:
   directly off the finer levels' still-unconsumed accumulators during the
   descent, which equals the eagerly propagated injection chain.
 
+The operators are those of the reference engine, but built at once: the
+reference engine propagates the BoxMG operators one level per cycle, and
+a sweep that mixes two cycles would mix two operator sets, so rebuild()
+builds every stale level before the traversal is compiled.
+
 The traversal is compiled once per mesh, at the first sweep after
 rebuild(): ``traverse`` yields the event stream, and numpy turns it into
 flat rows per vertex id (kind, diagonal, h-weight, prolongation rows,
@@ -122,11 +127,14 @@ class PipelineEngine(ReferenceEngine):
     # -- construction --------------------------------------------------------
 
     def rebuild(self) -> None:
-        """Rebuild the operators; helpers of existing levels keep their
-        values, and the traversal is compiled again at the next sweep."""
+        """Rebuild the operators, every BoxMG level at once; helpers of
+        existing levels keep their values, and the traversal is compiled
+        again at the next sweep."""
         super().rebuild()
         if self.masks[self.tree.lmin]["hanging"].any():
             raise ValueError("pipelined engine: level lmin has hanging vertices")
+        while self.build_stale_level():
+            pass
         # one list per helper over the flat vertex ids of levels 0..ltop
         n = vertex_offsets(self.ltop)[-1]
         self._lists = {name: old[:n] + [0.0] * (n - len(old))

@@ -34,6 +34,18 @@ differ only in the per-level update and in what feeds the restriction:
 
 Level contributions are summed coarse to fine in a fixed order so that
 regression tests can compare iterates bitwise.
+
+The BoxMG operators propagate one resolution level per cycle.  rebuild()
+gives every level its rediscretized operator and every coarse level the
+d-linear transfers and GEOMETRIC_RTILDE * omega, which the geometric
+flavour keeps; BoxMG coarse levels hold them as stand-ins and are stale.
+Each advance() ends, once its cycle's arrays are released, by building the
+finest stale level l from level l+1's current table: P, the Galerkin rows
+at its overlapped vertices laid over the rediscretized table, and R~.  So
+the first boxmg cycle is the geometric one, cycle n+1 runs on the operators
+of the n finest coarse levels, and after ltop - lmin cycles on an unchanged
+mesh every table is bitwise that of an eager build.  The pipelined engine,
+whose sweep mixes two cycles, builds every level in its rebuild().
 """
 
 from __future__ import annotations
@@ -139,7 +151,9 @@ class ReferenceEngine:
 
     advance() performs one cycle and returns the residual statistics of the
     iterate it started from, mirroring the pipelined engine where cycle n's
-    residual is fully accumulated during sweep n+1.
+    residual is fully accumulated during sweep n+1.  The BoxMG coarse
+    levels lmin..stale still hold their geometric stand-ins; stale is below
+    lmin once every level is built, and always for the geometric flavour.
     """
 
     def __init__(self, tree: Spacetree, cfg: SolverConfig):
@@ -150,7 +164,8 @@ class ReferenceEngine:
     # -- operator construction ---------------------------------------------
 
     def rebuild(self) -> None:
-        """(Re)build stencils, transfer operators and masks from the tree."""
+        """(Re)build stencils, transfer operators and masks from the tree;
+        every BoxMG coarse level becomes stale."""
         tree = self.tree
         self.ltop = tree.depth
         if self.ltop < tree.lmin:
@@ -161,7 +176,6 @@ class ReferenceEngine:
         self.masks: dict[int, dict[str, np.ndarray]] = {}
         self.hweight: dict[int, np.ndarray] = {}
         self.comp_h: dict[int, np.ndarray] = {}
-        want_rt = self.cfg.variant == "adafac-jac"
 
         # Effective material samples: leaf cells keep their midpoint sample
         # (the composite discretization), refined cells average their
@@ -222,33 +236,15 @@ class ReferenceEngine:
             int(np.count_nonzero(m["composite"])) for m in self.masks.values())
         self.updates = count_updates(level_dofs, self.cfg.variant, tree.lmin, self.ltop)
 
-        if self.cfg.flavor == "geometric":
-            for l in range(tree.lmin, self.ltop + 1):
-                self.ops[l] = ElementOperator(eps_masked[l])
-            rt = GEOMETRIC_RTILDE * self.cfg.omega if want_rt else None
-            for l in range(tree.lmin, self.ltop):
-                self.transfers[l] = TransferOps(None, rt)
-        else:
-            # the operator keeps its own padded copy; dropping the finest
-            # samples keeps them from doubling through the Galerkin build
-            self.ops[self.ltop] = ElementOperator(eps_masked.pop(self.ltop))
-            raw = self.ops[self.ltop].table()
-            for l in range(self.ltop - 1, tree.lmin - 1, -1):
-                refined = tree.refined[l] & tree.cells_exist(l)
-                planes = prolongation_planes(
-                    boxmg_prolongation(raw, refined, self.masks[l + 1]["hanging"]))
-                rap = ritz_galerkin_coarse(raw, planes, self.masks[l + 1]["dof"])
-                tbl = assemble_stencil_table(eps_masked[l])
-                overlap = self.masks[l]["overlapped"]
-                np.copyto(tbl, rap, where=overlap[:, :, None, None])
-                self.ops[l] = TableOperator(tbl)
-                # R~ comes after the finer table is released, which the top
-                # level's is here; P's 7x7 table lives only while R~ is
-                # composed from it
-                raw = tbl
-                rt = (smoothed_restriction_table(prolongation_table(planes), self.cfg.omega)
-                      if want_rt else None)
-                self.transfers[l] = TransferOps(planes, rt)
+        # every level starts rediscretized with d-linear transfers; BoxMG
+        # coarse levels hold these as stand-ins until build_stale_level()
+        # replaces them, one level per cycle
+        for l in range(tree.lmin, self.ltop + 1):
+            self.ops[l] = ElementOperator(eps_masked[l])
+        rt = GEOMETRIC_RTILDE * self.cfg.omega if self.cfg.variant == "adafac-jac" else None
+        for l in range(tree.lmin, self.ltop):
+            self.transfers[l] = TransferOps(None, rt)
+        self.stale = self.ltop - 1 if self.cfg.flavor == "boxmg" else tree.lmin - 1
 
         # the operators of each level's leaf cells, which alone form its
         # residual; none where every cell of a level is refined
@@ -262,12 +258,43 @@ class ReferenceEngine:
                 raise ValueError("the two-grid reference needs a regular two-level tree")
             self._coarse_dense = self._dense_interior_matrix(tree.lmin)
 
+    def build_stale_level(self) -> bool:
+        """Build the BoxMG operators of the finest stale level l from level
+        l+1's current table: P, the Galerkin rows at overlapped vertices
+        laid over the rediscretized table, and R~.  False when no level is
+        stale."""
+        l = self.stale
+        if l < self.tree.lmin:
+            return False
+        tree = self.tree
+        self.__dict__.pop("diag", None)
+        raw = self.ops[l + 1].table()
+        refined = tree.refined[l] & tree.cells_exist(l)
+        planes = prolongation_planes(
+            boxmg_prolongation(raw, refined, self.masks[l + 1]["hanging"]))
+        rap = ritz_galerkin_coarse(raw, planes, self.masks[l + 1]["dof"])
+        # R~ comes after the finer table is released, which level ltop's is
+        # here; P's 7x7 table lives only while R~ is composed from it
+        del raw
+        tbl = assemble_stencil_table(self.ops[l].eps)
+        np.copyto(tbl, rap, where=self.masks[l]["overlapped"][:, :, None, None])
+        del rap
+        self.ops[l] = TableOperator(tbl)
+        rt = (smoothed_restriction_table(prolongation_table(planes), self.cfg.omega)
+              if self.cfg.variant == "adafac-jac" else None)
+        self.transfers[l] = TransferOps(planes, rt)
+        self.stale = l - 1
+        if self.cfg.variant == "multiplicative-v10":
+            self._coarse_dense = self._dense_interior_matrix(l)
+        return True
+
     @cached_property
     def diag(self) -> dict[int, np.ndarray]:
         """Per-level operator diagonal, 1 off the equation-carrying vertices.
 
-        Built at the first cycle after rebuild(), which drops it, so that
-        set-up pays only for the operators.
+        Built at the first cycle after rebuild() or build_stale_level(),
+        which drop it, so that set-up pays only for the operators and a
+        stale level's diagonal is its stand-in's until the level is built.
         """
         return {l: np.where(self.masks[l]["dof"], self.ops[l].diag(), 1.0)
                 for l in range(self.tree.lmin, self.ltop + 1)}
@@ -350,8 +377,16 @@ class ReferenceEngine:
             yield l, rho_dof
 
     def advance(self) -> CycleStats:
+        """One cycle, then the BoxMG operators of one stale level, built
+        once the cycle's arrays are released."""
         if self.cfg.variant == "multiplicative-v10":
-            return self._advance_mult_v10()
+            stats = self._advance_mult_v10()
+        else:
+            stats = self._cycle()
+        self.build_stale_level()
+        return stats
+
+    def _cycle(self) -> CycleStats:
         tree = self.tree
         cfg = self.cfg
         l0, l1 = tree.lmin, self.ltop

@@ -95,10 +95,12 @@ def array_digest(arr: np.ndarray) -> str:
 
 
 def table_digests(tree, flavor: str) -> dict[str, str]:
-    """Digests of the tables an adafac-jac engine builds on tree: per level
-    its stencil table and diagonal, and per coarse level its P (boxmg only)
-    and R~."""
+    """Digests of the tables an adafac-jac engine builds on tree, once it
+    has built every level: per level its stencil table and diagonal, and
+    per coarse level its P (boxmg only) and R~."""
     eng = ReferenceEngine(tree, SolverConfig(variant="adafac-jac", flavor=flavor))
+    while eng.build_stale_level():
+        pass
     out = {}
     for l in range(tree.lmin, eng.ltop + 1):
         out[f"A{l}"] = array_digest(eng.ops[l].table())

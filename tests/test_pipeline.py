@@ -22,6 +22,9 @@ def paired_engines(levels, variant, field=None, seed=1, **cfg_kw):
         tree.u[levels][m] += vals[m]
     ref = ReferenceEngine(tree_r, cfg)
     pipe = PipelineEngine(tree_p, cfg)
+    # the pipelined engine builds every boxmg level in rebuild()
+    while ref.build_stale_level():
+        pass
     ref.update_fas_state()
     pipe.update_fas_state()
     return ref, pipe
@@ -177,6 +180,8 @@ def test_equivalence_on_graded_mesh(graded, variant, flavor):
     cfg = SolverConfig(variant=variant, flavor=flavor)
     ref = ReferenceEngine(copy.deepcopy(graded), cfg)
     pipe = PipelineEngine(graded, cfg)
+    while ref.build_stale_level():
+        pass
     ref.update_fas_state()
     pipe.update_fas_state()
     ref.advance()

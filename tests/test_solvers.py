@@ -1,6 +1,9 @@
+import copy
+
 import numpy as np
 import pytest
 
+import treemg.solvers
 from treemg.discretization import constant_field, half_domain_jump, needle_inclusion
 from treemg.oracle import build_hierarchy, dense_cycle, exact_solve
 from treemg.pipeline import PipelineEngine
@@ -16,10 +19,14 @@ from treemg.spacetree import build_regular
 POISSON = constant_field(1.0)
 
 
-def make_engine(levels=2, field=POISSON, **cfg_kw):
+def make_engine(levels=2, field=POISSON, built=False, **cfg_kw):
+    """A regular tree and its engine; built=True also builds every boxmg
+    level, as the first ltop - lmin cycles otherwise do."""
     tree = build_regular(levels, field=field)
     cfg = SolverConfig(**cfg_kw)
     eng = ReferenceEngine(tree, cfg)
+    while built and eng.build_stale_level():
+        pass
     return tree, eng
 
 
@@ -63,7 +70,7 @@ def test_engine_matches_dense_multiplicative():
                            ("boxmg", "needle-k3", needle_inclusion(3)))
     for v in ("additive", "adafac-pi", "adafac-jac")])
 def test_engine_matches_dense_three_grid(variant, flavor, field):
-    tree, eng = make_engine(3, field=field, variant=variant, flavor=flavor)
+    tree, eng = make_engine(3, field=field, built=True, variant=variant, flavor=flavor)
     randomize(tree, eng, seed=7)
     h = build_hierarchy(1, 3, field, flavor=flavor)
     want = dense_cycle(h, variant, fine_vec(tree, eng))
@@ -74,7 +81,7 @@ def test_engine_matches_dense_three_grid(variant, flavor, field):
 @pytest.mark.parametrize("variant", ["adafac-pi", "adafac-jac"])
 def test_engine_boxmg_matches_dense_on_jump(variant):
     field = half_domain_jump(1)
-    tree, eng = make_engine(2, field=field, variant=variant, flavor="boxmg")
+    tree, eng = make_engine(2, field=field, built=True, variant=variant, flavor="boxmg")
     randomize(tree, eng, seed=8)
     h = build_hierarchy(1, 2, field, flavor="boxmg")
     want = dense_cycle(h, variant, fine_vec(tree, eng))
@@ -131,7 +138,7 @@ def test_fixed_point_on_jump_both_flavors(flavor):
     # fixed point even where rediscretized coarse operators disagree with
     # the Galerkin ones
     field = half_domain_jump(2)
-    tree, eng = make_engine(2, field=field, variant="adafac-jac", flavor=flavor)
+    tree, eng = make_engine(2, field=field, built=True, variant="adafac-jac", flavor=flavor)
     u_star = exact_solve(build_hierarchy(1, 2, field).fine())
     tree.u[2][:, :] = u_star.reshape(tree.u[2].shape)
     eng.update_fas_state()
@@ -147,7 +154,7 @@ def test_restriction_equals_hierarchical_residual_under_galerkin(flavor, field):
     # wherever A_c = R A_f P holds, the correction-consistent right-hand
     # side equals the restricted hierarchical residual R(b - A u_hat); every
     # coarse DoF of a regular tree is overlapped, so its whole row enters
-    tree, eng = make_engine(2, field=field, variant="additive", flavor=flavor)
+    tree, eng = make_engine(2, field=field, built=True, variant="additive", flavor=flavor)
     randomize(tree, eng, seed=21)
     op_f, op_c = eng.ops[2], eng.ops[1]
     dof_f = tree.dof_mask(2)
@@ -164,7 +171,8 @@ def test_restriction_equals_hierarchical_residual_under_galerkin(flavor, field):
 def test_coarse_residual_is_restricted_residual_on_regular_tree(flavor):
     # no level below the top of a regular tree has a leaf cell, so its
     # residual is exactly the restriction of the finer one
-    tree, eng = make_engine(3, field=half_domain_jump(3), variant="additive", flavor=flavor)
+    tree, eng = make_engine(3, field=half_domain_jump(3), built=True, variant="additive",
+                            flavor=flavor)
     randomize(tree, eng, seed=8)
     rho = dict(eng._residual_chain(eng._new_stats()))
     for l in range(tree.lmin, eng.ltop):
@@ -310,7 +318,7 @@ def test_boxmg_engine_storage_layouts():
     (5, 5, nc+1, nc+1) offset planes, and its table accessor returns a
     C-contiguous (nc+1, nc+1, 7, 7) table; the stencil tables are
     offset-major."""
-    tree, eng = make_engine(3, half_domain_jump(3), flavor="boxmg")
+    tree, eng = make_engine(3, half_domain_jump(3), built=True, flavor="boxmg")
     assert sorted(eng.transfers) == [1, 2]
     for l, tr in eng.transfers.items():
         n1 = 3**l + 1
@@ -319,3 +327,51 @@ def test_boxmg_engine_storage_layouts():
         assert tr.rtilde.shape == (n1, n1, 7, 7) and tr.rtilde.flags.c_contiguous
     for op in eng.ops.values():
         assert op.table().transpose(2, 3, 0, 1).flags.c_contiguous
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("mesh", ["regular", "graded"])
+def test_boxmg_operators_propagate_one_level_per_cycle(mesh, graded, monkeypatch):
+    """Construction builds no Galerkin rows.  After n cycles exactly the n
+    finest coarse levels hold their BoxMG operators, bit for bit those of
+    an engine built to completion, and the coarser ones hold the geometric
+    stand-ins; rebuild() makes every coarse level stale again."""
+    probes = []
+    rap = treemg.solvers.ritz_galerkin_coarse
+    monkeypatch.setattr(treemg.solvers, "ritz_galerkin_coarse",
+                        lambda *args: probes.append(1) or rap(*args))
+    tree = build_regular(4, field=half_domain_jump(3)) if mesh == "regular" else graded
+    cfg = SolverConfig(flavor="boxmg")
+    full = ReferenceEngine(copy.deepcopy(tree), cfg)
+    while full.build_stale_level():
+        pass
+    stand_in = ReferenceEngine(copy.deepcopy(tree), SolverConfig())
+    del probes[:]
+    eng = ReferenceEngine(tree, cfg)
+    assert not probes
+    lmin, ltop = tree.lmin, eng.ltop
+    assert ltop - lmin == 3
+
+    def check(n_built):
+        assert eng.stale == ltop - 1 - n_built
+        assert len(probes) == n_built
+        for l in range(lmin, ltop):
+            want = full if l > eng.stale else stand_in
+            assert same_bits(eng.ops[l].table(), want.ops[l].table()), l
+            assert same_bits(eng.diag[l], want.diag[l]), l
+            tr, tw = eng.transfers[l], want.transfers[l]
+            assert (tr.p_planes is None) == (tw.p_planes is None), l
+            if tr.p_planes is not None:
+                assert same_bits(tr.p_planes, tw.p_planes), l
+            assert same_bits(tr.rtilde, tw.rtilde), l
+
+    check(0)
+    for n in range(1, ltop - lmin + 2):
+        eng.advance()
+        check(min(n, ltop - lmin))
+    del probes[:]
+    eng.rebuild()
+    check(0)
