@@ -5,7 +5,7 @@ its transpose as restriction and rediscretized coarse stencils.  One 1D
 weight vector (_W, the weights at fine offsets -2..2) defines d-linear
 interpolation everywhere: the separable kernel _dlinear1d applies it, up
 for P and down for R = P^T weight for weight, and its outer product is the
-7x7 geometric_prolongation that the smoothed restriction, the boxmg
+5x5 geometric_prolongation that the smoothed restriction, the boxmg
 hanging-vertex weights and the pipelined engine read.  The
 operator-dependent flavour builds prolongation weights per coarse vertex by
 collapsing the fine stencils along coarse cell faces (identity on c-points,
@@ -16,16 +16,15 @@ the level and on its transposed views, writing straight into P, and the
 interior solves read their boundary weights back from P.
 
 The auxiliary damping solver additionally needs a smoothed restriction
-R~ = omega * R A diag(A)^-1, composed as stencils.  The composition spans
-9x9 fine offsets, but its outer ring is empty, because every P here has no
-weight at offsets +-3 (prolongation_planes and smoothed_restriction_table
-raise otherwise); so R~ fits the 7x7 footprint of the tripartitioning
-transfer operators exactly.  It is built from the unit-coefficient
-operator on every level, which removes the material parameter from the
-damping term on elements with constant coefficient.  One function,
-smoothed_restriction_table, composes it from either flavour's P: a
-per-vertex table for boxmg, and once at import the 7x7 geometric stencil
-GEOMETRIC_RTILDE for omega = 1, which the engines scale by omega.
+R~ = omega * R A diag(A)^-1, composed as stencils.  P reaches fine offsets
+-2..2 only, so the composition spans offsets -3..3: the 7x7 footprint of
+the tripartitioning transfer operators.  It is built from the
+unit-coefficient operator on every level, which removes the material
+parameter from the damping term on elements with constant coefficient.
+One function, smoothed_restriction_table, composes it from either
+flavour's P: a per-vertex table for boxmg, and once at import the 7x7
+geometric stencil GEOMETRIC_RTILDE for omega = 1, which the engines scale
+by omega.
 
 Level operators are ElementOperators, whose apply runs one element loop
 for any coefficient field, or TableOperators of explicit stencils (the
@@ -41,24 +40,22 @@ coupling vertex (i, j) to (i+a-1, j+b-1).  They are stored offset-major:
 assemble_stencil_table and ritz_galerkin_coarse fill a C-contiguous
 (3, 3, n+1, n+1) array of offset planes and return its transpose(2, 3, 0,
 1) view, so that the kernels, which work one offset at a time, read
-contiguous planes.  Transfer tables are (nc+1, nc+1, 7, 7) with
-table[i, j, a, b] the weight between coarse vertex (i, j) and fine vertex
-(3i+a-3, 3j+b-3).  R~ is one, C-contiguous: einsum contracts it in an
-order set by the strides, so this layout is part of the results.  A boxmg
-P is kept once, as the C-contiguous (5, 5, nc+1, nc+1) array of its 25
-nonzero offset planes, planes[a+2, b+2] the weights at offset (a, b)
-(prolongation_planes); its 7x7 table is rebuilt (prolongation_table) only
-to compose R~ and for the pipelined engine's rows.
+contiguous planes.  P is built, composed and read as one format, the
+C-contiguous (5, 5, nc+1, nc+1) array of its offset planes, planes[a+2,
+b+2, i, j] the weight between coarse vertex (i, j) and fine vertex (3i+a,
+3j+b).  R~ is a C-contiguous (nc+1, nc+1, 7, 7) table, table[i, j, a+3,
+b+3] that weight: einsum contracts it in an order set by the strides, so
+this layout is part of the results.
 
 The table transfers work on whole levels.  R~ (one 7x7 stencil for the
 geometric flavour) is contracted by einsum with a view of the 7x7 windows
 at stride 3 of the fine field zero-padded by 3; restriction by P adds the
-products of its planes with those windows one plane at a time, in the
-order einsum sums them (_restrict_planes).  Prolongation splits each
-offset as o+3 = 3q + r (q, r in 0..2): fine vertex 3v+o is entry r of
-block v+q of the fine field padded by 3 and viewed as (nc+2, 3, nc+2, 3),
-and the planes of each block (qa, qb), q in {0, 1}, are added with one
-operation.  The Galerkin probes prolong indicators of one colour of
+products of its planes with those windows one plane at a time, in the order
+einsum sums a 7x7 window contraction (_restrict_planes).  Prolongation
+splits each offset as o+3 = 3q + r (q, r in 0..2): fine vertex 3v+o is
+entry r of block v+q of the fine field padded by 3 and viewed as (nc+2, 3,
+nc+2, 3), and the planes of each block (qa, qb), q in {0, 1}, are added
+with one operation.  The Galerkin probes prolong indicators of one colour of
 coarse vertices, whose weight windows do not overlap; they scatter the
 weights from the planes into zeros instead.
 """
@@ -79,8 +76,6 @@ __all__ = [
     "boxmg_prolongation",
     "ritz_galerkin_coarse",
     "smoothed_restriction_table",
-    "prolongation_planes",
-    "prolongation_table",
     "GEOMETRIC_RTILDE",
     "TransferOps",
 ]
@@ -92,10 +87,9 @@ _W = np.array([1, 2, 3, 2, 1]) / 3.0
 
 
 def geometric_prolongation() -> np.ndarray:
-    """Bilinear interpolation weights over the 7x7 fine footprint, indexed
-    [a + 3, b + 3] for the fine offset (a, b)."""
-    w = np.concatenate(([0.0], _W, [0.0]))
-    return np.outer(w, w)
+    """Bilinear interpolation weights of one coarse vertex, indexed
+    [a + 2, b + 2] for the fine offset (a, b) like P's offset planes."""
+    return np.outer(_W, _W)
 
 
 def _dlinear1d(arr: np.ndarray, axis: int, up: bool) -> np.ndarray:
@@ -265,7 +259,7 @@ def _solve_gamma(a_m1, a_01, a_p1, a_m2, a_02, a_p2, active):
 
 
 def _face_points(fine_table: np.ndarray, refined: np.ndarray, p: np.ndarray) -> None:
-    """Face-point weights of the edges along axis 0 into p.
+    """Face-point weights of the edges along axis 0 into the planes p.
 
     Edge (I, J) runs from c-point (I, J) to (I+1, J) through fine points
     (3I+1, 3J) and (3I+2, 3J); an edge of a refined cell is solved on the
@@ -280,8 +274,7 @@ def _face_points(fine_table: np.ndarray, refined: np.ndarray, p: np.ndarray) -> 
     # order b = 0, 1, 2 whatever the table's layout
     lumped = [t[..., a, 0] + t[..., a, 1] + t[..., a, 2]
               for t in (fine_table[1::3, ::3], fine_table[2::3, ::3]) for a in range(3)]
-    p[:-1, :, 4, 3], p[:-1, :, 5, 3], p[1:, :, 1, 3], p[1:, :, 2, 3] = _solve_gamma(
-        *lumped, active)
+    p[3, 2, :-1], p[4, 2, :-1], p[0, 2, 1:], p[1, 2, 1:] = _solve_gamma(*lumped, active)
 
 
 def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
@@ -301,12 +294,13 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
     _INTERIOR_BLOCK cells, so that their scratch memory does not grow with
     the level.
 
-    Returns a C-contiguous (nc+1, nc+1, 7, 7) table of weights at fine
-    offsets -3..3.
+    Returns P's offset planes, the C-contiguous (5, 5, nc+1, nc+1) array
+    of its weights at fine offsets -2..2, written there from the start.
     """
     nc = refined.shape[0]
-    p = np.zeros((nc + 1, nc + 1, 7, 7))
-    p[:, :, 3, 3] = 1.0  # c-points: identity
+    n1 = nc + 1
+    p = np.zeros((5, 5, n1, n1))
+    p[2, 2] = 1.0  # c-points: identity
     _face_points(fine_table, refined, p)
     _face_points(fine_table.transpose(1, 0, 3, 2), refined.T, p.transpose(1, 0, 3, 2))
 
@@ -327,18 +321,21 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
 
     def slots(points):
         # [point, corner]: flat offset in p of each corner's weight at the
-        # patch points, from the start of the cell's vertex (ci, cj)
-        return np.array([[((cp // 3) * (nc + 1) + cq // 3) * 49
-                          + (tp - cp + 3) * 7 + tq - cq + 3
-                          for cp, cq in corners] for tp, tq in points])
+        # patch points, from the cell's vertex (ci, cj); and whether P
+        # reaches the point, +0.0 weights where it does not (offsets +-3)
+        off = np.array([[(tp - cp, tq - cq) for cp, cq in corners] for tp, tq in points])
+        a, b = np.clip(off, -2, 2).transpose(2, 0, 1) + 2
+        corner = np.array([(cp // 3) * n1 + cq // 3 for cp, cq in corners])
+        return (a * 5 + b) * n1 * n1 + corner, (np.abs(off) <= 2).all(axis=2)
 
     pf = p.reshape(-1)
     planes = fine_table.transpose(2, 3, 0, 1).reshape(9, -1)
-    rim_slots, f_slots = slots(rim)[:, :, None], slots(f_off)
+    (rim_slots, reach), (f_slots, _) = slots(rim), slots(f_off)
+    rim_slots, reach = rim_slots[:, :, None], reach[:, :, None]
     for k in range(0, ci.size, _INTERIOR_BLOCK):
         bi, bj = ci[k : k + _INTERIOR_BLOCK], cj[k : k + _INTERIOR_BLOCK]
-        cell = (bi * (nc + 1) + bj) * 49
-        known = pf[rim_slots + cell]  # [rim point, corner, cell]
+        cell = bi * n1 + bj
+        known = np.where(reach, pf[rim_slots + cell], 0.0)  # [rim point, corner, cell]
         a_ff = np.zeros((4, 4, bi.size))
         rhs = np.zeros((4, 4, bi.size))  # one row per corner
         for r, (fp, fq) in enumerate(f_off):
@@ -355,41 +352,19 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
 
     # Hanging fine targets interpolate d-linearly instead.
     if hanging is not None and hanging.any():
-        np.copyto(p, geometric_prolongation(), where=_windows(hanging))
+        targets = _windows(hanging)[:, :, 1:6, 1:6].transpose(2, 3, 0, 1)
+        np.copyto(p, geometric_prolongation()[:, :, None, None], where=targets)
 
     # Drop weights pointing outside the fine grid: below offset 0 from the
     # first coarse row or column, above it from the last.
-    p[0, :, :3] = 0.0
-    p[-1, :, 4:] = 0.0
-    p[:, 0, :, :3] = 0.0
-    p[:, -1, :, 4:] = 0.0
+    p[:2, :, 0] = 0.0
+    p[3:, :, -1] = 0.0
+    p[:, :2, :, 0] = 0.0
+    p[:, 3:, :, -1] = 0.0
     return p
 
 
 # -- table-driven transfers -------------------------------------------------
-
-
-def _require_no_weight_at_three(p_table: np.ndarray) -> None:
-    if p_table[..., ::6, :].any() or p_table[..., ::6].any():
-        raise ValueError("prolongation weights at offsets +-3 must vanish")
-
-
-def prolongation_planes(p_table: np.ndarray) -> np.ndarray:
-    """The 25 offset planes of the transfer table p_table, offsets -2..2:
-    a C-contiguous (5, 5, nc+1, nc+1) array, planes[a+2, b+2, i, j] =
-    p_table[i, j, a+3, b+3].  Raises ValueError on a weight at offsets +-3,
-    which the planes cannot hold."""
-    _require_no_weight_at_three(p_table)
-    return np.ascontiguousarray(p_table[:, :, 1:6, 1:6].transpose(2, 3, 0, 1))
-
-
-def prolongation_table(planes: np.ndarray) -> np.ndarray:
-    """The C-contiguous (nc+1, nc+1, 7, 7) transfer table of the offset
-    planes, +0.0 at offsets +-3."""
-    n1 = planes.shape[2:]
-    table = np.zeros(n1 + (7, 7))
-    table[:, :, 1:6, 1:6] = planes.transpose(2, 3, 0, 1)
-    return table
 
 
 def _accumulator_order(parity: int) -> tuple[tuple[int, int], ...]:
@@ -412,10 +387,10 @@ def _restrict_planes(fine: np.ndarray, planes: np.ndarray) -> np.ndarray:
 
     Each product P_o is added as acc = P_o + acc, in the orders of
     _RESTRICT_ORDER into two accumulators from +0.0, and out is acc0 +
-    acc1: the sums of einsum over the 7x7 table, bit for bit.  The ones
-    left out, of the zero weights at offsets +-3, are +-0 and cannot
-    change an accumulator that starts at +0.0, which never becomes -0.0;
-    only at an inf or NaN sample did they make a NaN.
+    acc1: the sums of einsum over a 7x7 table of P, bit for bit at finite
+    samples.  The products einsum would add at offsets +-3, of zero
+    weights, are +-0 and cannot change an accumulator that starts at +0.0,
+    which never becomes -0.0.
     """
     n1 = planes.shape[2:]
     win = _windows(fine).transpose(2, 3, 0, 1)
@@ -468,19 +443,17 @@ def _colour_prolong(planes: np.ndarray, ci: int, cj: int) -> np.ndarray:
 def ritz_galerkin_coarse(fine_table: np.ndarray, p_planes: np.ndarray,
                          dof: np.ndarray) -> np.ndarray:
     """Coarse stencil table A_c = R A P from fine stencils and the offset
-    planes p_planes of P (prolongation_planes), as an offset-major table.
+    planes p_planes of P (boxmg_prolongation), as an offset-major table.
 
     dof is the fine level's boolean mask of the vertices that carry an
     equation; restriction only gathers residuals from those, so the other
     rows of each A P e_c are set to +0.0.  That equals the product with
     fine_table zeroed at those rows bit for bit: such a row would sum only
     +-0 products onto +0.0.  R = P^T, restricting with the kernel of the
-    cycles (_restrict_planes), whose sums equal those of an einsum over
-    the 7x7 table except that a weight at offsets +-3, always zero, no
-    longer turns an inf in A P e_c into a NaN.
+    cycles (_restrict_planes).
 
     A_c is probed with nine coloured coarse vectors e_c, 1 at the vertices
-    v with v mod 3 == c (_colour_prolong).  P has no weight at offsets +-3,
+    v with v mod 3 == c (_colour_prolong).  P reaches fine offsets -2..2,
     so R A P couples vertices at most one apart and no two vertices of one
     colour share a row: entry dw of vertex w is (R A P e_c)[w] for
     c = (w + dw) mod 3.  Entries towards vertices outside the grid come out
@@ -507,39 +480,26 @@ def ritz_galerkin_coarse(fine_table: np.ndarray, p_planes: np.ndarray,
 
 # -- smoothed auxiliary restriction -----------------------------------------
 
-# Coarse vertices per block of smoothed_restriction_table: about 200 kB of
-# weights, so that the nine passes over a block stay in cache.
-_RTILDE_BLOCK = 512
 
-
-def smoothed_restriction_table(p_table: np.ndarray, omega: float) -> np.ndarray:
+def smoothed_restriction_table(p_planes: np.ndarray, omega: float) -> np.ndarray:
     """Smoothed restriction weights omega * R A diag(A)^-1.
 
-    Composes the given restriction weights (transpose of p_table, an
-    (nc+1, nc+1, 7, 7) table or one (7, 7) stencil, with no weight at
-    offsets +-3) with A diag(A)^-1 of the unit-coefficient operator, and
-    returns a C-contiguous array shaped like p_table.  The composition
-    lives on a 9x9 footprint, whose outer ring stays empty because P has no
-    weight at offsets +-3; so it fits the 7x7 transfer footprint exactly.
+    Composes the restriction weights of P, its offset planes (or the
+    (5, 5) weights of one vertex), with A diag(A)^-1 of the
+    unit-coefficient operator.  Returns the weights at offsets -3..3, all
+    that the composition reaches, as a C-contiguous (nc+1, nc+1, 7, 7)
+    table (or one (7, 7) stencil).
 
     Entry t sums c[s] * p[t + 1 - s], c = A diag(A)^-1, over s descending
-    (sources in lexicographic order).  On the row-major 7x7 weights of a
-    vertex each s is one flat shift, so one pass over a block of vertices;
-    the zero weights at offsets +-3 it moves across rows add nothing.
+    (sources in lexicographic order), one shifted add of the planes per s.
     """
-    _require_no_weight_at_three(p_table)
     c = interior_stencil(1.0) * (3.0 / 8.0)
-    rows = p_table.reshape(-1, 49)
-    out = np.zeros(rows.shape)
-    for k in range(0, rows.shape[0], _RTILDE_BLOCK):
-        src = rows[k : k + _RTILDE_BLOCK].reshape(-1)[8:-8]
-        dst = out[k : k + _RTILDE_BLOCK].reshape(-1)
-        for si in (2, 1, 0):
-            for sj in (2, 1, 0):
-                shift = 7 * (si - 1) + sj - 1
-                dst[8 + shift : dst.size - 8 + shift] += src * c[si, sj]
-        dst *= omega
-    return out.reshape(p_table.shape)
+    out = np.zeros((7, 7) + p_planes.shape[2:])
+    for si in (2, 1, 0):
+        for sj in (2, 1, 0):
+            out[si : si + 5, sj : sj + 5] += p_planes * c[si, sj]
+    out *= omega
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
 
 # The geometric R~ for omega = 1, shared and so read-only; the engines
@@ -555,10 +515,9 @@ class TransferOps:
     """Transfer operators between one coarse level and the next finer one.
 
     With p_planes None, prolongation and restriction are the separable
-    d-linear kernels; otherwise P's 25 offset planes (prolongation_planes),
-    its one storage, which prolongation scatters from and restriction
-    contracts with the 7x7 windows of the fine field.  p_table rebuilds
-    P's 7x7 table on each read.  Restriction is always the transpose of
+    d-linear kernels; otherwise P's offset planes from boxmg_prolongation,
+    which prolongation scatters from and restriction contracts with the
+    windows of the fine field.  Restriction is always the transpose of
     prolongation and accumulates (it never averages).
 
     rtilde holds the smoothed restriction weights, a (7, 7) stencil (a
@@ -571,11 +530,6 @@ class TransferOps:
     def __init__(self, p_planes: np.ndarray | None, rtilde: np.ndarray | None):
         self.p_planes = p_planes
         self.rtilde = rtilde
-
-    @property
-    def p_table(self) -> np.ndarray | None:
-        """P as a new (nc+1, nc+1, 7, 7) table, None for d-linear."""
-        return None if self.p_planes is None else prolongation_table(self.p_planes)
 
     def prolong(self, coarse: np.ndarray) -> np.ndarray:
         if self.p_planes is None:

@@ -214,10 +214,13 @@ class PipelineEngine(ReferenceEngine):
                 ok = (ci <= np.minimum(nc, (I + 3) // 3)[:, None]) & \
                      (cj <= np.minimum(nc, (J + 3) // 3)[:, None])
                 ci, cj = np.minimum(ci, nc), np.minimum(cj, nc)
-                oi = np.clip(I[:, None] - 3 * ci, -3, 3) + 3
-                oj = np.clip(J[:, None] - 3 * cj, -3, 3) + 3
-                w = geo[oi, oj] if tr.p_planes is None else tr.p_table[ci, cj, oi, oj]
-                rows["prow"][span] = _ragged(ok & (w != 0.0), ids(lc, ci, cj), w)
+                di, dj = I[:, None] - 3 * ci, J[:, None] - 3 * cj
+                # P's planes reach offsets -2..2, R~'s table -3..3
+                near = (np.abs(di) <= 2) & (np.abs(dj) <= 2)
+                pa, pb = np.clip(di, -2, 2) + 2, np.clip(dj, -2, 2) + 2
+                w = geo[pa, pb] if tr.p_planes is None else tr.p_planes[pa, pb, ci, cj]
+                rows["prow"][span] = _ragged(ok & near & (w != 0.0), ids(lc, ci, cj), w)
+                oi, oj = np.clip(di, -3, 3) + 3, np.clip(dj, -3, 3) + 3
                 if jac:
                     rt = tr.rtilde[oi, oj] if tr.rtilde.ndim == 2 else tr.rtilde[ci, cj, oi, oj]
                     rows["rrow"][span] = _ragged(ok & (rt != 0.0), ids(lc, ci, cj), rt)

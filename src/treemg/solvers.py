@@ -63,8 +63,6 @@ from .operators import (
     assemble_stencil_table,
     boxmg_prolongation,
     prolong_values,
-    prolongation_planes,
-    prolongation_table,
     ritz_galerkin_coarse,
     smoothed_restriction_table,
 )
@@ -270,17 +268,16 @@ class ReferenceEngine:
         self.__dict__.pop("diag", None)
         raw = self.ops[l + 1].table()
         refined = tree.refined[l] & tree.cells_exist(l)
-        planes = prolongation_planes(
-            boxmg_prolongation(raw, refined, self.masks[l + 1]["hanging"]))
+        planes = boxmg_prolongation(raw, refined, self.masks[l + 1]["hanging"])
         rap = ritz_galerkin_coarse(raw, planes, self.masks[l + 1]["dof"])
         # R~ comes after the finer table is released, which level ltop's is
-        # here; P's 7x7 table lives only while R~ is composed from it
+        # here
         del raw
         tbl = assemble_stencil_table(self.ops[l].eps)
         np.copyto(tbl, rap, where=self.masks[l]["overlapped"][:, :, None, None])
         del rap
         self.ops[l] = TableOperator(tbl)
-        rt = (smoothed_restriction_table(prolongation_table(planes), self.cfg.omega)
+        rt = (smoothed_restriction_table(planes, self.cfg.omega)
               if self.cfg.variant == "adafac-jac" else None)
         self.transfers[l] = TransferOps(planes, rt)
         self.stale = l - 1

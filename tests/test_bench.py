@@ -157,12 +157,16 @@ def test_cli_config_file_and_overrides(tmp_path):
     assert cfg.max_cycles == 4
 
 
-def test_cli_rejects_bad_config(tmp_path, capsys):
+@pytest.mark.parametrize("content", [b"setup=torus\n", b"lmax = 3\n\xff\xfe bad\n"],
+                         ids=["bad-value", "not-utf8"])
+def test_cli_rejects_bad_config(tmp_path, capsys, content):
     cfgfile = tmp_path / "bad.cfg"
-    cfgfile.write_text("setup=torus\n")
+    cfgfile.write_bytes(content)
     rc = main(["--config", str(cfgfile)])
+    err = capsys.readouterr().err
     assert rc == 1
-    assert "configuration error" in capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("configuration error: ")
 
 
 @pytest.mark.parametrize("argv", [

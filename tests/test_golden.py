@@ -107,8 +107,12 @@ def table_digests(tree, flavor: str) -> dict[str, str]:
         out[f"diag{l}"] = array_digest(eng.diag[l])
         if l < eng.ltop:
             tr = eng.transfers[l]
-            if tr.p_table is not None:
-                out[f"P{l}"] = array_digest(tr.p_table)
+            if tr.p_planes is not None:
+                # P as the (nc+1, nc+1, 7, 7) table of weights at offsets
+                # -3..3, +0.0 at +-3, the layout its digests were taken of
+                table = np.zeros(tr.p_planes.shape[2:] + (7, 7))
+                table[:, :, 1:6, 1:6] = tr.p_planes.transpose(2, 3, 0, 1)
+                out[f"P{l}"] = array_digest(table)
             out[f"Rt{l}"] = array_digest(tr.rtilde)
     return out
 

@@ -315,15 +315,13 @@ def test_omega_tilde_zero_matches_scaled_damping():
 def test_boxmg_engine_storage_layouts():
     """R~ stays a C-contiguous (nc+1, nc+1, 7, 7) table, as einsum
     contracts it in an order set by its strides; P is kept as C-contiguous
-    (5, 5, nc+1, nc+1) offset planes, and its table accessor returns a
-    C-contiguous (nc+1, nc+1, 7, 7) table; the stencil tables are
+    (5, 5, nc+1, nc+1) offset planes; the stencil tables are
     offset-major."""
     tree, eng = make_engine(3, half_domain_jump(3), built=True, flavor="boxmg")
     assert sorted(eng.transfers) == [1, 2]
     for l, tr in eng.transfers.items():
         n1 = 3**l + 1
         assert tr.p_planes.shape == (5, 5, n1, n1) and tr.p_planes.flags.c_contiguous
-        assert tr.p_table.shape == (n1, n1, 7, 7) and tr.p_table.flags.c_contiguous
         assert tr.rtilde.shape == (n1, n1, 7, 7) and tr.rtilde.flags.c_contiguous
     for op in eng.ops.values():
         assert op.table().transpose(2, 3, 0, 1).flags.c_contiguous
