@@ -55,9 +55,7 @@ einsum sums a 7x7 window contraction (_restrict_planes).  Prolongation
 splits each offset as o+3 = 3q + r (q, r in 0..2): fine vertex 3v+o is
 entry r of block v+q of the fine field padded by 3 and viewed as (nc+2, 3,
 nc+2, 3), and the planes of each block (qa, qb), q in {0, 1}, are added
-with one operation.  The Galerkin probes prolong indicators of one colour of
-coarse vertices, whose weight windows do not overlap; they scatter the
-weights from the planes into zeros instead.
+with one operation.
 """
 
 from __future__ import annotations
@@ -423,23 +421,6 @@ def _prolong_planes(coarse: np.ndarray, planes: np.ndarray) -> np.ndarray:
     return fine[3 : 3 * nc + 4, 3 : 3 * nc + 4]
 
 
-def _colour_prolong(planes: np.ndarray, ci: int, cj: int) -> np.ndarray:
-    """P e_c for the colour indicator e_c, 1 at the coarse vertices v with
-    v mod 3 == (ci, cj), scattered straight from the weights of those
-    vertices.  Their 5x5 windows lie 9 fine vertices apart and so never
-    overlap; each weight is added once onto +0.0, the sum that a full
-    prolongation of e_c leaves there.  Targets outside the grid are
-    dropped."""
-    nc = planes.shape[2] - 1
-    m = (nc - ci) // 3 + 1, (nc - cj) // 3 + 1
-    # padded fine index 3v + o + 3 holds fine vertex 3v + o; the windows of
-    # the colour start at 3c and run in steps of 9
-    pad = np.zeros((3 * nc + 9, 3 * nc + 9))
-    win = pad[3 * ci : 3 * ci + 9 * m[0], 3 * cj : 3 * cj + 9 * m[1]].reshape(m[0], 9, m[1], 9)
-    win[:, 1:6, :, 1:6] += planes[:, :, ci::3, cj::3].transpose(2, 0, 3, 1)
-    return pad[3 : 3 * nc + 4, 3 : 3 * nc + 4]
-
-
 def ritz_galerkin_coarse(fine_table: np.ndarray, p_planes: np.ndarray,
                          dof: np.ndarray) -> np.ndarray:
     """Coarse stencil table A_c = R A P from fine stencils and the offset
@@ -453,7 +434,8 @@ def ritz_galerkin_coarse(fine_table: np.ndarray, p_planes: np.ndarray,
     cycles (_restrict_planes).
 
     A_c is probed with nine coloured coarse vectors e_c, 1 at the vertices
-    v with v mod 3 == c (_colour_prolong).  P reaches fine offsets -2..2,
+    v with v mod 3 == c, prolonged by the kernel of the cycles
+    (_prolong_planes).  P reaches fine offsets -2..2,
     so R A P couples vertices at most one apart and no two vertices of one
     colour share a row: entry dw of vertex w is (R A P e_c)[w] for
     c = (w + dw) mod 3.  Entries towards vertices outside the grid come out
@@ -465,7 +447,9 @@ def ritz_galerkin_coarse(fine_table: np.ndarray, p_planes: np.ndarray,
     probed = np.empty((3, 3, nc + 1, nc + 1))
     for ci in range(3):
         for cj in range(3):
-            ape = op.apply(_colour_prolong(p_planes, ci, cj))
+            e = np.zeros((nc + 1, nc + 1))
+            e[ci::3, cj::3] = 1.0
+            ape = op.apply(_prolong_planes(e, p_planes))
             ape[no_equation] = 0.0
             probed[ci, cj] = _restrict_planes(ape, p_planes)
     v = np.arange(nc + 1)

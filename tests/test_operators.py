@@ -12,7 +12,6 @@ from treemg.discretization import (
 )
 from treemg.operators import (
     GEOMETRIC_RTILDE,
-    _colour_prolong,
     _prolong_planes,
     _restrict_planes,
     ElementOperator,
@@ -573,8 +572,7 @@ def bitwise_equal(a, b):
 def test_probes_zero_the_rows_without_an_equation_bit_for_bit(graded):
     """On a graded mesh with hanging and Dirichlet rows, probing the
     unmasked fine table and zeroing the rows without an equation gives the
-    coarse table of the fine table zeroed at those rows, and each colour's
-    scattered P e_c is the prolongation of e_c, both as int64 views."""
+    coarse table of the fine table zeroed at those rows, as int64 views."""
     eng = ReferenceEngine(graded, SolverConfig(flavor="boxmg"))
     while eng.build_stale_level():
         pass
@@ -586,10 +584,6 @@ def test_probes_zero_the_rows_without_an_equation_bit_for_bit(graded):
         want = ritz_galerkin_coarse(raw * fine["dof"][:, :, None, None], p,
                                     np.ones_like(fine["dof"]))
         assert bitwise_equal(ritz_galerkin_coarse(raw, p, fine["dof"]), want)
-        for ci, cj in np.ndindex(3, 3):
-            e = np.zeros(p.shape[2:])
-            e[ci::3, cj::3] = 1.0
-            assert bitwise_equal(_colour_prolong(p, ci, cj), eng.transfers[l].prolong(e))
     assert any(eng.masks[l]["hanging"].any() for l in eng.masks)
 
 
@@ -674,12 +668,10 @@ def restrict_in_einsum_order(p, fine):
     return out
 
 
-def prolong_in_block_order(p, coarse, colour=None):
+def prolong_in_block_order(p, coarse):
     """fine[f] = sum of p[v, o] * coarse[v] over 3v + o == f, one term at a
     time onto +0.0, the offsets of block (qa, qb) = (0, 0), (0, 1), (1, 0),
-    (1, 1) in turn, q = 0 for offsets -3..-1 and 1 for 0..2.  With colour
-    (ci, cj), P e_c for the indicator of the vertices v = c mod 3, whose
-    weights are added as they are."""
+    (1, 1) in turn, q = 0 for offsets -3..-1 and 1 for 0..2."""
     nc = p.shape[0] - 1
     nf = 3 * nc
     fine = np.zeros((nf + 1, nf + 1))
@@ -687,14 +679,11 @@ def prolong_in_block_order(p, coarse, colour=None):
     for qa, qb in ((0, 0), (0, 1), (1, 0), (1, 1)):
         for vi in range(nc + 1):
             for vj in range(nc + 1):
-                if colour is not None and (vi % 3, vj % 3) != colour:
-                    continue
                 for a in blocks[qa]:
                     for b in blocks[qb]:
                         fi, fj = 3 * vi + a, 3 * vj + b
                         if 0 <= fi <= nf and 0 <= fj <= nf:
-                            w = float(p[vi, vj, a + 3, b + 3])
-                            term = w if colour is not None else w * float(coarse[vi, vj])
+                            term = float(p[vi, vj, a + 3, b + 3]) * float(coarse[vi, vj])
                             fine[fi, fj] = fine[fi, fj] + term
     return fine
 
@@ -719,9 +708,6 @@ def test_plane_prolongation_adds_in_block_order_bit_for_bit(source, graded):
         coarse = signed_zero_field(rng, (nc + 1, nc + 1))
         assert bitwise_equal(_prolong_planes(coarse, planes),
                              prolong_in_block_order(p, coarse)), name
-        for ci, cj in np.ndindex(3, 3):
-            got = np.ascontiguousarray(_colour_prolong(planes, ci, cj))
-            assert bitwise_equal(got, prolong_in_block_order(p, None, (ci, cj))), (name, ci, cj)
 
 
 def test_boxmg_transfers_hold_p_once_as_offset_planes(graded):
