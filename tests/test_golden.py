@@ -1,13 +1,18 @@
 """Golden digests of behaviour.
 
-golden_csv.json holds the exit code and CSV sha256 of a fixed matrix of CLI
-runs; golden_tables.json the sha256 of every prolongation, smoothed
+golden_csv.json holds, per run of a fixed matrix of CLI runs, the exit
+code, last cycle, final DoF count, final res_l2h as printed and the CSV
+sha256; golden_tables.json the sha256 of every prolongation, smoothed
 restriction, stencil table and diagonal that the reference engine builds
 on a fixed corpus of meshes.  A change that keeps behaviour leaves every
 entry of both files as it is.  A changed entry is a behaviour change, to be
 declared with its reason; regenerate both files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints what moved against the files it overwrites: per changed run
+the exit code, last cycle and DoF before -> after and the relative change
+of the final residual, and per mesh the number of changed tables.
 """
 
 import contextlib
@@ -49,11 +54,14 @@ def golden_runs() -> list[str]:
 
 
 def digest(argv: str) -> list:
-    """[exit code, sha256 of the CSV] of one in-process CLI run."""
+    """[exit code, last cycle, final DoF, final res_l2h as printed, sha256
+    of the CSV] of one in-process CLI run."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = main(argv.split())
-    return [rc, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+    csv = out.getvalue()
+    cycle, res, _, dofs = csv.splitlines()[-1].split(",")[:4]
+    return [rc, int(cycle), int(dofs), res, hashlib.sha256(csv.encode()).hexdigest()]
 
 
 # regular boxmg meshes at lmax 3-5, and (setup, k, seed) of the random
@@ -108,11 +116,7 @@ def table_digests(tree, flavor: str) -> dict[str, str]:
         if l < eng.ltop:
             tr = eng.transfers[l]
             if tr.p_planes is not None:
-                # P as the (nc+1, nc+1, 7, 7) table of weights at offsets
-                # -3..3, +0.0 at +-3, the layout its digests were taken of
-                table = np.zeros(tr.p_planes.shape[2:] + (7, 7))
-                table[:, :, 1:6, 1:6] = tr.p_planes.transpose(2, 3, 0, 1)
-                out[f"P{l}"] = array_digest(table)
+                out[f"P{l}"] = array_digest(tr.p_planes)
             out[f"Rt{l}"] = array_digest(tr.rtilde)
     return out
 
@@ -138,10 +142,37 @@ def test_golden_csv_digests():
     assert not changed, f"{len(changed)} of {len(runs)} runs changed: {changed}"
 
 
+def report(old_csv: dict, new_csv: dict, old_tables: dict, new_tables: dict) -> None:
+    """Print what moved between two generations of the golden files."""
+    changed = [argv for argv in new_csv if old_csv.get(argv) != new_csv[argv]]
+    print(f"{len(changed)} of {len(new_csv)} runs changed")
+    if changed:
+        print("| run | exit code | last cycle | final DoF | final res_l2h, rel. change |")
+        print("| --- | --- | --- | --- | --- |")
+    for argv in changed:
+        if argv not in old_csv:
+            print(f"| {argv} | new | | | |")
+            continue
+        (rc0, c0, d0, r0, _), (rc1, c1, d1, r1, _) = old_csv[argv], new_csv[argv]
+        rel = abs(float(r1) - float(r0)) / abs(float(r0))
+        print(f"| {argv} | {rc0} → {rc1} | {c0} → {c1} | {d0} → {d1} | {rel:.1e} |")
+    total = 0
+    for name, got in new_tables.items():
+        want = old_tables.get(name, {})
+        moved = sum(want.get(key) != value for key, value in got.items())
+        total += moved
+        if moved:
+            print(f"{name}: {moved} of {len(got)} tables changed")
+    print(f"{total} of {sum(map(len, new_tables.values()))} table digests changed")
+
+
 if __name__ == "__main__":
-    lines = [f"{json.dumps(argv)}: {json.dumps(digest(argv))}" for argv in golden_runs()]
+    old_csv, old_tables = json.loads(GOLDEN.read_text()), json.loads(GOLDEN_TABLES.read_text())
+    new_csv = {argv: digest(argv) for argv in golden_runs()}
+    lines = [f"{json.dumps(argv)}: {json.dumps(record)}" for argv, record in new_csv.items()]
     GOLDEN.write_text("{\n" + ",\n".join(lines) + "\n}\n")
     print(f"wrote {len(lines)} digests to {GOLDEN}", file=sys.stderr)
-    tables = all_table_digests()
-    GOLDEN_TABLES.write_text(json.dumps(tables, indent=1) + "\n")
-    print(f"wrote {sum(map(len, tables.values()))} digests to {GOLDEN_TABLES}", file=sys.stderr)
+    new_tables = all_table_digests()
+    GOLDEN_TABLES.write_text(json.dumps(new_tables, indent=1) + "\n")
+    print(f"wrote {sum(map(len, new_tables.values()))} digests to {GOLDEN_TABLES}", file=sys.stderr)
+    report(old_csv, new_csv, old_tables, new_tables)
