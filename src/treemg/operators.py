@@ -49,13 +49,12 @@ this layout is part of the results.
 
 The table transfers work on whole levels.  R~ (one 7x7 stencil for the
 geometric flavour) is contracted by einsum with a view of the 7x7 windows
-at stride 3 of the fine field zero-padded by 3; restriction by P adds the
-products of its planes with those windows one plane at a time, in the order
-einsum sums a 7x7 window contraction (_restrict_planes).  Prolongation
+at stride 3 of the fine field zero-padded by 3; restriction by P is one
+einsum of its planes with the inner 5x5 of those windows.  Prolongation
 splits each offset as o+3 = 3q + r (q, r in 0..2): fine vertex 3v+o is
 entry r of block v+q of the fine field padded by 3 and viewed as (nc+2, 3,
 nc+2, 3), and the planes of each block (qa, qb), q in {0, 1}, are added
-with one operation.
+with one operation; the Galerkin probes prolong with that same kernel.
 """
 
 from __future__ import annotations
@@ -365,40 +364,11 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
 # -- table-driven transfers -------------------------------------------------
 
 
-def _accumulator_order(parity: int) -> tuple[tuple[int, int], ...]:
-    """Offsets (a, b) added into restriction accumulator parity, in order:
-    the flat 7x7 indices k = 7(a+3) + b+3 of that parity, descending in
-    each run of eight from k = 0, then k = 48, without offsets +-3."""
-    ks = [k for base in range(0, 48, 8) for k in range(base + 6 + parity, base - 1, -2)]
-    ks += [48] if parity == 0 else []
-    return tuple((k // 7 - 3, k % 7 - 3) for k in ks if 1 <= k // 7 <= 5 and 1 <= k % 7 <= 5)
-
-
-# The order in which numpy's einsum sums the 49 products of a 7x7 window
-# contraction, in two accumulators.
-_RESTRICT_ORDER = (_accumulator_order(0), _accumulator_order(1))
-
-
 def _restrict_planes(fine: np.ndarray, planes: np.ndarray) -> np.ndarray:
     """R = P^T from the offset planes: out[v] = sum over the offsets o of
-    P[v, o] * fine[3v + o], fine samples outside the grid read as zero.
-
-    Each product P_o is added as acc = P_o + acc, in the orders of
-    _RESTRICT_ORDER into two accumulators from +0.0, and out is acc0 +
-    acc1: the sums of einsum over a 7x7 table of P, bit for bit at finite
-    samples.  The products einsum would add at offsets +-3, of zero
-    weights, are +-0 and cannot change an accumulator that starts at +0.0,
-    which never becomes -0.0.
-    """
-    n1 = planes.shape[2:]
-    win = _windows(fine).transpose(2, 3, 0, 1)
-    acc = np.zeros((2,) + n1)
-    tmp = np.empty(n1)
-    for acc_k, order in zip(acc, _RESTRICT_ORDER):
-        for a, b in order:
-            np.multiply(planes[a + 2, b + 2], win[a + 3, b + 3], out=tmp)
-            np.add(tmp, acc_k, out=acc_k)
-    return np.add(acc[0], acc[1])
+    P[v, o] * fine[3v + o], fine samples outside the grid read as zero, as
+    one einsum over the 5x5 windows of fine that P reaches."""
+    return np.einsum("abij,ijab->ij", planes, _windows(fine)[:, :, 1:6, 1:6])
 
 
 # The fine-block entries r = o+3 mod 3 and the planes o+2 of the offsets o
@@ -430,14 +400,13 @@ def ritz_galerkin_coarse(fine_table: np.ndarray, p_planes: np.ndarray,
     equation; restriction only gathers residuals from those, so the other
     rows of each A P e_c are set to +0.0.  That equals the product with
     fine_table zeroed at those rows bit for bit: such a row would sum only
-    +-0 products onto +0.0.  R = P^T, restricting with the kernel of the
-    cycles (_restrict_planes).
+    +-0 products onto +0.0.
 
     A_c is probed with nine coloured coarse vectors e_c, 1 at the vertices
-    v with v mod 3 == c, prolonged by the kernel of the cycles
-    (_prolong_planes).  P reaches fine offsets -2..2,
-    so R A P couples vertices at most one apart and no two vertices of one
-    colour share a row: entry dw of vertex w is (R A P e_c)[w] for
+    v with v mod 3 == c, which P and R = P^T carry by the kernels of the
+    cycles (_prolong_planes, _restrict_planes).  P reaches fine offsets
+    -2..2, so R A P couples vertices at most one apart and no two vertices
+    of one colour share a row: entry dw of vertex w is (R A P e_c)[w] for
     c = (w + dw) mod 3.  Entries towards vertices outside the grid come out
     zero, as no vertex of their colour lies within reach.
     """
