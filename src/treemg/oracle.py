@@ -23,8 +23,6 @@ from .discretization import ELEMENT_MATRIX_UNIT, CORNER_OFFSETS, EpsilonField, b
 __all__ = [
     "DenseLevel",
     "DenseHierarchy",
-    "assemble_dense",
-    "build_hierarchy",
     "exact_solve",
     "dense_cycle",
     "eq5_difference",
@@ -75,10 +73,6 @@ class DenseLevel:
                 if not (0 < i < n and 0 < j < n):
                     g[self.idx(i, j)] = boundary_value(i / n, j / n)
         return g
-
-
-def assemble_dense(level: int, field: EpsilonField) -> DenseLevel:
-    return DenseLevel(level, field)
 
 
 def dense_bilinear_p(coarse: DenseLevel, fine: DenseLevel) -> np.ndarray:
@@ -231,10 +225,6 @@ class DenseHierarchy:
         for l in range(from_level, self.lmax):
             vec = self.p[l] @ vec
         return vec
-
-
-def build_hierarchy(lmin: int, lmax: int, field: EpsilonField, **kw) -> DenseHierarchy:
-    return DenseHierarchy(lmin, lmax, field, **kw)
 
 
 def exact_solve(level: DenseLevel, b: np.ndarray | None = None) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 from treemg.bench import ExperimentConfig, count_updates, regular_level_dofs, run
 from treemg.discretization import constant_field
 from treemg.operators import GEOMETRIC_RTILDE
-from treemg.oracle import build_hierarchy, dense_cycle, eq5_difference, exact_solve
+from treemg.oracle import DenseHierarchy, dense_cycle, eq5_difference, exact_solve
 from treemg.pipeline import PipelineEngine
 from treemg.solvers import ReferenceEngine, SolverConfig
 from treemg.spacetree import build_regular
@@ -84,7 +84,7 @@ def test_criterion_2_printed_stencil():
     before truncation changes anything.  The untruncated stencil is the row
     of coarse vertex (4, 4) in the dense oracle's omega R A diag(A)^-1 on
     levels 2 -> 3; the engines' GEOMETRIC_RTILDE is its truncation."""
-    h = build_hierarchy(2, 3, POISSON, omega=1.0)
+    h = DenseHierarchy(2, 3, POISSON, omega=1.0)
     row = h.rt[2][h.levels[2].idx(4, 4)].reshape(28, 28)
     window = row[8:17, 8:17].copy()  # fine offsets -4..4 around fine vertex (12, 12)
     row[8:17, 8:17] = 0.0
@@ -233,7 +233,7 @@ def test_criterion_6_overshoot_identity():
     """On the two-grid unit-coefficient problem the difference between the
     multiplicative V(1,0) iterate and the additive iterate with exact
     coarse solve equals the dense overshoot formula to 1e-13."""
-    h = build_hierarchy(1, 2, POISSON)
+    h = DenseHierarchy(1, 2, POISSON)
     rng = np.random.default_rng(11)
     u = h.fine().boundary_vector()
     u[h.fine().interior] = rng.standard_normal(int(h.fine().interior.sum()))
@@ -324,7 +324,7 @@ def test_criterion_8_oracle_equivalence():
     """Every solver variant matches its dense-matrix transcription on the
     regular two-grid problem to 1e-12."""
     worst = 0.0
-    h = build_hierarchy(1, 2, POISSON)
+    h = DenseHierarchy(1, 2, POISSON)
     rng = np.random.default_rng(4)
     for variant in ("additive", "additive-exp", "bpx", "afacc",
                     "adafac-pi", "adafac-jac", "multiplicative-v10"):
@@ -385,7 +385,7 @@ def test_criterion_10_solution_agreement():
                 diff = float(np.abs(solutions[a] - solutions[b]).max())
                 worst = max(worst, diff)
                 assert diff <= 1e-8, (a, b, diff)
-    u_star = exact_solve(build_hierarchy(1, 3, POISSON).fine())
+    u_star = exact_solve(DenseHierarchy(1, 3, POISSON).fine())
     any_u = solutions["adafac-jac"].reshape(-1)
     assert float(np.abs(any_u - u_star).max()) < 1e-7
     report(10, f"{len(names)} converging variants agree pairwise to "

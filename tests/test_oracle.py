@@ -8,9 +8,8 @@ from treemg.operators import (
     ritz_galerkin_coarse,
 )
 from treemg.oracle import (
+    DenseHierarchy,
     DenseLevel,
-    assemble_dense,
-    build_hierarchy,
     dense_cycle,
     eq5_difference,
     exact_solve,
@@ -22,7 +21,7 @@ POISSON = constant_field(1.0)
 
 
 def test_level1_poisson_matrix():
-    lvl = assemble_dense(1, POISSON)
+    lvl = DenseLevel(1, POISSON)
     mask = lvl.interior
     a_ii = lvl.a_raw[np.ix_(mask, mask)]
     assert a_ii.shape == (4, 4)
@@ -35,14 +34,14 @@ def test_level1_poisson_matrix():
 
 def test_dense_symmetry():
     for field in (POISSON, half_domain_jump(1)):
-        lvl = assemble_dense(2, field)
+        lvl = DenseLevel(2, field)
         mask = lvl.interior
         a_ii = lvl.a_raw[np.ix_(mask, mask)]
         assert np.abs(a_ii - a_ii.T).max() == 0.0
 
 
 def test_jump_matrix_mixes_contributions():
-    lvl = assemble_dense(1, half_domain_jump(1))
+    lvl = DenseLevel(1, half_domain_jump(1))
     # rows at vertices left and right of the split differ by the eps mix
     left = lvl.a_raw[lvl.idx(1, 1), lvl.idx(1, 1)]
     right = lvl.a_raw[lvl.idx(2, 1), lvl.idx(2, 1)]
@@ -56,14 +55,14 @@ def test_jump_matrix_mixes_contributions():
     needle_inclusion(3), skew_checkerboard(5),
 ])
 def test_spd_after_elimination(field):
-    lvl = assemble_dense(2, field)
+    lvl = DenseLevel(2, field)
     mask = lvl.interior
     a_ii = lvl.a_raw[np.ix_(mask, mask)]
     np.linalg.cholesky(a_ii)  # raises if not SPD
 
 
 def test_exact_solve_max_principle():
-    lvl = assemble_dense(2, POISSON)
+    lvl = DenseLevel(2, POISSON)
     u = exact_solve(lvl)
     assert u.min() >= -1e-13
     assert u.max() <= 1.0 + 1e-13
@@ -72,7 +71,7 @@ def test_exact_solve_max_principle():
 
 
 def test_exact_solve_zero_data():
-    lvl = assemble_dense(1, POISSON)
+    lvl = DenseLevel(1, POISSON)
 
     class ZeroBC(DenseLevel):
         pass
@@ -89,7 +88,7 @@ def test_exact_solve_zero_data():
 
 def test_exact_solution_is_cycle_fixed_point():
     for flavor in ("geometric", "boxmg"):
-        h = build_hierarchy(1, 2, POISSON, flavor=flavor)
+        h = DenseHierarchy(1, 2, POISSON, flavor=flavor)
         u_star = exact_solve(h.fine())
         for variant in ("additive", "additive-exp", "bpx", "afacc",
                         "adafac-jac", "adafac-pi", "multiplicative-v10"):
@@ -99,7 +98,7 @@ def test_exact_solution_is_cycle_fixed_point():
 
 def test_dense_galerkin_matches_stencil_rap():
     field = half_domain_jump(1)
-    h = build_hierarchy(1, 2, field, flavor="boxmg")
+    h = DenseHierarchy(1, 2, field, flavor="boxmg")
     coarse = h.levels[1]
     a_c = coarse.a
     # stencil-side computation
@@ -124,7 +123,7 @@ def test_dense_galerkin_matches_stencil_rap():
 
 def test_dense_boxmg_matches_stencil_boxmg():
     field = skew_checkerboard(2)
-    h = build_hierarchy(1, 2, field, flavor="boxmg")
+    h = DenseHierarchy(1, 2, field, flavor="boxmg")
     p_dense = h.p[1]
     from treemg.spacetree import build_regular
 
@@ -147,7 +146,7 @@ def test_dense_boxmg_matches_stencil_boxmg():
 
 
 def test_eq5_identity():
-    h = build_hierarchy(1, 2, POISSON)
+    h = DenseHierarchy(1, 2, POISSON)
     rng = np.random.default_rng(1)
     u = h.fine().boundary_vector()
     u[h.fine().interior] = rng.standard_normal(int(h.fine().interior.sum()))
@@ -157,13 +156,13 @@ def test_eq5_identity():
 
 
 def test_two_grid_contraction():
-    h = build_hierarchy(1, 2, POISSON)
+    h = DenseHierarchy(1, 2, POISSON)
     rho = two_grid_spectral_radius(h, "multiplicative-v10", iters=200)
     assert rho < 1.0 - 1e-6
 
 
 def test_bpx_uses_unscaled_coarse_residual():
-    h = build_hierarchy(1, 2, POISSON)
+    h = DenseHierarchy(1, 2, POISSON)
     rng = np.random.default_rng(3)
     u = h.fine().boundary_vector()
     u[h.fine().interior] = rng.standard_normal(int(h.fine().interior.sum()))
@@ -177,7 +176,7 @@ def test_bpx_uses_unscaled_coarse_residual():
 
 
 def test_afacc_masking_matches_row():
-    h = build_hierarchy(1, 2, POISSON)
+    h = DenseHierarchy(1, 2, POISSON)
     rng = np.random.default_rng(4)
     u = h.fine().boundary_vector()
     u[h.fine().interior] = rng.standard_normal(int(h.fine().interior.sum()))
@@ -192,7 +191,7 @@ def test_afacc_masking_matches_row():
 
 def test_afacc_mask_vanishes_off_c_points():
     # a residual supported only away from c-points restricts unchanged
-    h = build_hierarchy(1, 2, POISSON)
+    h = DenseHierarchy(1, 2, POISSON)
     fine = h.fine()
     r = np.zeros(fine.nv)
     r[fine.idx(1, 1)] = 1.0  # not a c-point
@@ -210,7 +209,7 @@ def test_oracle_capped_at_desk_scale():
 def test_boxmg_chain_is_galerkin_on_every_level(field):
     """Each boxmg coarse matrix is the Galerkin product of the finished
     finer one, down the whole chain."""
-    h = build_hierarchy(1, 3, field, flavor="boxmg")
+    h = DenseHierarchy(1, 3, field, flavor="boxmg")
     for l in (1, 2):
         p = h.p[l]
         want = np.where(h.levels[l].interior[:, None], p.T @ h.levels[l + 1].a @ p, 0.0)

@@ -5,7 +5,7 @@ import pytest
 
 import treemg.solvers
 from treemg.discretization import constant_field, half_domain_jump, needle_inclusion
-from treemg.oracle import build_hierarchy, dense_cycle, exact_solve
+from treemg.oracle import DenseHierarchy, dense_cycle, exact_solve
 from treemg.pipeline import PipelineEngine
 from treemg.solvers import (
     PIPELINE_VARIANTS,
@@ -47,7 +47,7 @@ def fine_vec(tree, eng):
 def test_engine_matches_dense_transcription_two_grid(variant):
     tree, eng = make_engine(2, variant=variant)
     randomize(tree, eng, seed=5)
-    h = build_hierarchy(1, 2, POISSON)
+    h = DenseHierarchy(1, 2, POISSON)
     want = dense_cycle(h, variant, fine_vec(tree, eng))
     eng.advance()
     got = fine_vec(tree, eng)
@@ -57,7 +57,7 @@ def test_engine_matches_dense_transcription_two_grid(variant):
 def test_engine_matches_dense_multiplicative():
     tree, eng = make_engine(2, variant="multiplicative-v10")
     randomize(tree, eng, seed=6)
-    h = build_hierarchy(1, 2, POISSON)
+    h = DenseHierarchy(1, 2, POISSON)
     want = dense_cycle(h, "multiplicative-v10", fine_vec(tree, eng))
     eng.advance()
     assert np.abs(fine_vec(tree, eng) - want).max() < 1e-12
@@ -72,7 +72,7 @@ def test_engine_matches_dense_multiplicative():
 def test_engine_matches_dense_three_grid(variant, flavor, field):
     tree, eng = make_engine(3, field=field, built=True, variant=variant, flavor=flavor)
     randomize(tree, eng, seed=7)
-    h = build_hierarchy(1, 3, field, flavor=flavor)
+    h = DenseHierarchy(1, 3, field, flavor=flavor)
     want = dense_cycle(h, variant, fine_vec(tree, eng))
     eng.advance()
     assert np.abs(fine_vec(tree, eng) - want).max() < 1e-12
@@ -83,7 +83,7 @@ def test_engine_boxmg_matches_dense_on_jump(variant):
     field = half_domain_jump(1)
     tree, eng = make_engine(2, field=field, built=True, variant=variant, flavor="boxmg")
     randomize(tree, eng, seed=8)
-    h = build_hierarchy(1, 2, field, flavor="boxmg")
+    h = DenseHierarchy(1, 2, field, flavor="boxmg")
     want = dense_cycle(h, variant, fine_vec(tree, eng))
     eng.advance()
     assert np.abs(fine_vec(tree, eng) - want).max() < 1e-12
@@ -103,7 +103,7 @@ def test_update_fas_state_bilinear_surplus_vanishes():
 def test_hierarchical_residual_matches_dense():
     tree, eng = make_engine(2)
     randomize(tree, eng, seed=10)
-    h = build_hierarchy(1, 2, POISSON)
+    h = DenseHierarchy(1, 2, POISSON)
     u = fine_vec(tree, eng)
     nc = 3
     p = h.p[1]
@@ -125,7 +125,7 @@ def test_injection_copies_fine_values():
                                      "adafac-pi", "adafac-jac", "multiplicative-v10"])
 def test_exact_solution_is_fixed_point(variant):
     tree, eng = make_engine(2, variant=variant)
-    u_star = exact_solve(build_hierarchy(1, 2, POISSON).fine())
+    u_star = exact_solve(DenseHierarchy(1, 2, POISSON).fine())
     tree.u[2][:, :] = u_star.reshape(tree.u[2].shape)
     eng.update_fas_state()
     eng.advance()
@@ -139,7 +139,7 @@ def test_fixed_point_on_jump_both_flavors(flavor):
     # the Galerkin ones
     field = half_domain_jump(2)
     tree, eng = make_engine(2, field=field, built=True, variant="adafac-jac", flavor=flavor)
-    u_star = exact_solve(build_hierarchy(1, 2, field).fine())
+    u_star = exact_solve(DenseHierarchy(1, 2, field).fine())
     tree.u[2][:, :] = u_star.reshape(tree.u[2].shape)
     eng.update_fas_state()
     eng.advance()
