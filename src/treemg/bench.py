@@ -52,8 +52,8 @@ EXIT_DIVERGED = 3
 # estimated peak memory per finest-level vertex: every level stores full
 # arrays, and half-jump runs measured about 100 B at lmax 5 to 7
 BYTES_PER_FINEST_VERTEX = 128
-# the same with boxmg, whose P planes and R~ tables stay resident: 176 B
-# at lmax 5 and 173 B at lmax 6 (tracemalloc peak of half-jump k=3 runs
+# the same with boxmg, whose P planes and R~ tables stay resident: 177 B
+# at lmax 5 and 174 B at lmax 6 (tracemalloc peak of half-jump k=3 runs
 # over set-up and every cycle, the BoxMG levels built one per cycle after
 # cycle 0), kept at 256 B so that the check refuses the runs it refused before
 BOXMG_BYTES_PER_FINEST_VERTEX = 256

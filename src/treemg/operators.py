@@ -44,8 +44,8 @@ contiguous planes.  P is built, composed and read as one format, the
 C-contiguous (5, 5, nc+1, nc+1) array of its offset planes, planes[a+2,
 b+2, i, j] the weight between coarse vertex (i, j) and fine vertex (3i+a,
 3j+b).  R~ is a C-contiguous (nc+1, nc+1, 7, 7) table, table[i, j, a+3,
-b+3] that weight: einsum contracts it in an order set by the strides, so
-this layout is part of the results.
+b+3] that weight.  einsum contracts R~ and P's planes in an order set by
+the strides, so both layouts are part of the results.
 
 The table transfers work on whole levels.  R~ (one 7x7 stencil for the
 geometric flavour) is contracted by einsum with a view of the 7x7 windows
