@@ -52,10 +52,11 @@ EXIT_DIVERGED = 3
 # estimated peak memory per finest-level vertex: every level stores full
 # arrays, and half-jump runs measured about 100 B at lmax 5 to 7
 BYTES_PER_FINEST_VERTEX = 128
-# the same with boxmg, whose P planes and R~ tables stay resident: 177 B
-# at lmax 5 and 174 B at lmax 6 (tracemalloc peak of half-jump k=3 runs
-# over set-up and every cycle, the BoxMG levels built one per cycle after
-# cycle 0), kept at 256 B so that the check refuses the runs it refused before
+# the same with boxmg, whose P planes stay resident (R~ is applied from P):
+# 119 B at lmax 5 and 118 B at lmax 6 (tracemalloc peak of half-jump k=3
+# runs over set-up and every cycle, the BoxMG levels built one per cycle
+# after cycle 0), kept at 256 B so that the check refuses the runs it
+# refused before
 BOXMG_BYTES_PER_FINEST_VERTEX = 256
 # the pipelined engine keeps its vertex rows in Python lists: 2.5 to 3.2 kB
 # at lmax 3 to 5, either flavour

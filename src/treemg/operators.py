@@ -16,19 +16,24 @@ the level and on its transposed views, writing straight into P, and the
 interior solves read their boundary weights back from P.
 
 The auxiliary damping solver additionally needs a smoothed restriction
-R~ = omega * R A diag(A)^-1, composed as stencils.  P reaches fine offsets
--2..2 only, so the composition spans offsets -3..3: the 7x7 footprint of
-the tripartitioning transfer operators.  It is built from the
-unit-coefficient operator on every level, which removes the material
-parameter from the damping term on elements with constant coefficient.
-One function, smoothed_restriction_table, composes it from either
-flavour's P: a per-vertex table for boxmg, and once at import the 7x7
-geometric stencil GEOMETRIC_RTILDE for omega = 1, which the engines scale
-by omega.
+R~ = omega * R A diag(A)^-1, the restriction of a smoothed residual.  It
+is built from the unit-coefficient operator on every level, which removes
+the material parameter from the damping term on elements with constant
+coefficient: A diag(A)^-1 is then the constant 3x3 stencil c = (9 delta -
+box)/8.  P reaches fine offsets -2..2 only, so the composition spans
+offsets -3..3: the 7x7 footprint of the tripartitioning transfer
+operators.  smoothed_restriction_table composes it as stencils from
+either flavour's P; the geometric flavour applies that one 7x7 stencil.
+BoxMG levels store no R~: TransferOps applies c to the fine field and
+restricts the result by P, omega R (c f), which is the table's
+contraction up to rounding.
 
 Level operators are ElementOperators, whose apply runs one element loop
 for any coefficient field, or TableOperators of explicit stencils (the
-boxmg coarse levels).
+boxmg coarse levels).  Both give the stencil rows of chosen vertices,
+which is all that boxmg_prolongation reads of the finer level, and
+ritz_galerkin_coarse probes with the finer operator's own apply, so no
+level builds the table of the level above it.
 
 Array convention: vertex fields of a level with n cells per axis are
 (n+1, n+1) arrays indexed [i, j], i along x.  The cycle kernels (the
@@ -43,14 +48,15 @@ assemble_stencil_table and ritz_galerkin_coarse fill a C-contiguous
 contiguous planes.  P is built, composed and read as one format, the
 C-contiguous (5, 5, nc+1, nc+1) array of its offset planes, planes[a+2,
 b+2, i, j] the weight between coarse vertex (i, j) and fine vertex (3i+a,
-3j+b).  R~ is a C-contiguous (nc+1, nc+1, 7, 7) table, table[i, j, a+3,
-b+3] that weight.  einsum contracts R~ and P's planes in an order set by
-the strides, so both layouts are part of the results.
+3j+b).  smoothed_restriction_table returns a C-contiguous (nc+1, nc+1,
+7, 7) table, table[i, j, a+3, b+3] that weight.  einsum contracts P's
+planes in an order set by their strides, so their layout is part of the
+results.
 
-The table transfers work on whole levels.  R~ (one 7x7 stencil for the
-geometric flavour) is contracted by einsum with a view of the 7x7 windows
-at stride 3 of the fine field zero-padded by 3; restriction by P is one
-einsum of its planes with the inner 5x5 of those windows.  Prolongation
+The table transfers work on whole levels.  The geometric R~ is contracted
+by einsum with a view of the 7x7 windows at stride 3 of the fine field
+zero-padded by 3; restriction by P is one einsum of its planes with the
+inner 5x5 of those windows.  Prolongation
 splits each offset as o+3 = 3q + r (q, r in 0..2): fine vertex 3v+o is
 entry r of block v+q of the fine field padded by 3 and viewed as (nc+2, 3,
 nc+2, 3), and the planes of each block (qa, qb), q in {0, 1}, are added
@@ -73,7 +79,6 @@ __all__ = [
     "boxmg_prolongation",
     "ritz_galerkin_coarse",
     "smoothed_restriction_table",
-    "GEOMETRIC_RTILDE",
     "TransferOps",
 ]
 
@@ -170,6 +175,19 @@ class ElementOperator:
     def table(self) -> np.ndarray:
         return assemble_stencil_table(self.eps)
 
+    def rows(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Stencil rows of the vertices (i, j), index arrays that
+        broadcast: assemble_stencil_table(eps)[i, j] bit for bit, summed
+        onto +0.0 in that function's order.  Cells outside the level read
+        the zero padding (index -1 wraps onto it), and their +-0.0 terms
+        leave every sum as it is."""
+        out = np.zeros((3, 3) + np.broadcast(i, j).shape)
+        for a, (a0, a1) in enumerate(CORNER_OFFSETS):
+            eps = self._eps_pad[i - a0, j - a1]
+            for b, (b0, b1) in enumerate(CORNER_OFFSETS):
+                out[b0 - a0 + 1, b1 - a1 + 1] += ELEMENT_MATRIX_UNIT[a, b] * eps
+        return np.moveaxis(out, (0, 1), (-2, -1))
+
 
 class TableOperator:
     """Operator stored as an explicit per-vertex 3x3 stencil table.
@@ -201,6 +219,11 @@ class TableOperator:
     def table(self) -> np.ndarray:
         return self.tbl
 
+    def rows(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Stencil rows of the vertices (i, j), index arrays that
+        broadcast."""
+        return self.tbl[i, j]
+
 
 def assemble_stencil_table(eps: np.ndarray) -> np.ndarray:
     """Per-vertex stencils summed from adjacent element matrices, as an
@@ -226,14 +249,20 @@ def assemble_stencil_table(eps: np.ndarray) -> np.ndarray:
 _INTERIOR_BLOCK = 1024
 
 
-def _windows(fine: np.ndarray) -> np.ndarray:
-    """View of the 7x7 windows of fine at stride 3, (nc+1, nc+1, 7, 7):
-    entry [v, o] is fine[3v + o - 3], zero outside the grid."""
+def _padded(fine: np.ndarray) -> np.ndarray:
+    """A copy of the fine field zero-padded by 3 on every side."""
     pad = np.zeros((fine.shape[0] + 6, fine.shape[1] + 6), dtype=fine.dtype)
     pad[3:-3, 3:-3] = fine
+    return pad
+
+
+def _windows(pad: np.ndarray) -> np.ndarray:
+    """View of the 7x7 windows at stride 3 of a fine field zero-padded by 3
+    (_padded), (nc+1, nc+1, 7, 7): entry [v, o] is fine[3v + o - 3], zero
+    outside the grid."""
     s0, s1 = pad.strides
-    n1 = (fine.shape[0] - 1) // 3 + 1, (fine.shape[1] - 1) // 3 + 1
-    return np.ndarray(n1 + (7, 7), fine.dtype, pad, strides=(3 * s0, 3 * s1, s0, s1))
+    n1 = (pad.shape[0] - 7) // 3 + 1, (pad.shape[1] - 7) // 3 + 1
+    return np.ndarray(n1 + (7, 7), pad.dtype, pad, strides=(3 * s0, 3 * s1, s0, s1))
 
 
 def _solve_gamma(a_m1, a_01, a_p1, a_m2, a_02, a_p2, active):
@@ -255,41 +284,45 @@ def _solve_gamma(a_m1, a_01, a_p1, a_m2, a_02, a_p2, active):
     return wl1, wl2, wh1, wh2
 
 
-def _face_points(fine_table: np.ndarray, refined: np.ndarray, p: np.ndarray) -> None:
+def _face_points(rows, refined: np.ndarray, p: np.ndarray) -> None:
     """Face-point weights of the edges along axis 0 into the planes p.
 
     Edge (I, J) runs from c-point (I, J) to (I+1, J) through fine points
     (3I+1, 3J) and (3I+2, 3J); an edge of a refined cell is solved on the
-    stencil lumped along its normal, axis 1.  The other edges are the
-    axis-0 edges of the transposed views (fine_table.transpose(1, 0, 3, 2),
+    stencil lumped along its normal, axis 1.  rows(i, j) gives the fine
+    stencil rows of vertices (i, j).  The other edges are the axis-0 edges
+    of the transposed views (rows with its indices and offsets swapped,
     refined.T, p.transpose(1, 0, 3, 2)).
     """
     active = np.zeros((refined.shape[0], refined.shape[1] + 1), dtype=bool)
     active[:, 1:] |= refined
     active[:, :-1] |= refined
+    i = 3 * np.arange(refined.shape[0])[:, None]
+    j = 3 * np.arange(refined.shape[1] + 1)
     # the stencils of the two face points, lumped over offset b in the
-    # order b = 0, 1, 2 whatever the table's layout
+    # order b = 0, 1, 2
     lumped = [t[..., a, 0] + t[..., a, 1] + t[..., a, 2]
-              for t in (fine_table[1::3, ::3], fine_table[2::3, ::3]) for a in range(3)]
+              for t in (rows(i + 1, j), rows(i + 2, j)) for a in range(3)]
     p[3, 2, :-1], p[4, 2, :-1], p[0, 2, 1:], p[1, 2, 1:] = _solve_gamma(*lumped, active)
 
 
-def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
+def boxmg_prolongation(fine_op, refined: np.ndarray,
                        hanging: np.ndarray | None = None) -> np.ndarray:
     """Operator-dependent prolongation weights per coarse vertex.
 
-    fine_table holds the raw assembled fine stencils, refined the boolean
-    coarse-cell mask below which fine cells exist, hanging the boolean mask
-    of the fine level's hanging vertices (None: there are none).  Weights
-    are the identity on c-points; on face points they come from the
-    stencil lumped along the face normal, by one solve (_face_points) on
-    the level and again on its transposed views; interior points solve the
-    local 4x4 system A P e = 0 exactly, with the boundary weights of the
-    patch read from P itself.  Weights targeting hanging fine vertices are
-    replaced by the d-linear ones, matching the interpolation used for
-    hanging-vertex values.  The interior solves run over chunks of
-    _INTERIOR_BLOCK cells, so that their scratch memory does not grow with
-    the level.
+    fine_op is the fine level's operator (ElementOperator or
+    TableOperator) with the raw assembled stencils, whose rows the solves
+    read as they need them; refined is the boolean coarse-cell mask below
+    which fine cells exist, hanging the boolean mask of the fine level's
+    hanging vertices (None: there are none).  Weights are the identity on
+    c-points; on face points they come from the stencil lumped along the
+    face normal, by one solve (_face_points) on the level and again on its
+    transposed views; interior points solve the local 4x4 system A P e = 0
+    exactly, with the boundary weights of the patch read from P itself.
+    Weights targeting hanging fine vertices are replaced by the d-linear
+    ones, matching the interpolation used for hanging-vertex values.  The
+    interior solves run over chunks of _INTERIOR_BLOCK cells, so that their
+    scratch memory does not grow with the level.
 
     Returns P's offset planes, the C-contiguous (5, 5, nc+1, nc+1) array
     of its weights at fine offsets -2..2, written there from the start.
@@ -298,8 +331,9 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
     n1 = nc + 1
     p = np.zeros((5, 5, n1, n1))
     p[2, 2] = 1.0  # c-points: identity
-    _face_points(fine_table, refined, p)
-    _face_points(fine_table.transpose(1, 0, 3, 2), refined.T, p.transpose(1, 0, 3, 2))
+    _face_points(fine_op.rows, refined, p)
+    _face_points(lambda i, j: fine_op.rows(j, i).swapaxes(-2, -1), refined.T,
+                 p.transpose(1, 0, 3, 2))
 
     # Interior points, vectorized over chunks of refined cells: the four
     # interior points of a refined coarse cell couple only to each other and
@@ -307,10 +341,9 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
     # over 0..3; corner (cp, cq) of cell (ci, cj) is coarse vertex
     # (ci + cp//3, cj + cq//3), whose weight at patch point (tp, tq) is its
     # P entry at offset (tp - cp, tq - cq).  a_ff and rhs keep one row per
-    # matrix entry, [point, point or corner, cell]; P and the fine stencil
-    # planes are read and written through flat indices.  A cell reads only
-    # c-point and face-point weights, so its solve does not depend on the
-    # chunk it falls in.
+    # matrix entry, [point, point or corner, cell]; P is read and written
+    # through flat indices.  A cell reads only c-point and face-point
+    # weights, so its solve does not depend on the chunk it falls in.
     ci, cj = np.nonzero(refined)
     f_off = ((1, 1), (2, 1), (1, 2), (2, 2))
     corners = ((0, 0), (3, 0), (0, 3), (3, 3))
@@ -326,7 +359,6 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
         return (a * 5 + b) * n1 * n1 + corner, (np.abs(off) <= 2).all(axis=2)
 
     pf = p.reshape(-1)
-    planes = fine_table.transpose(2, 3, 0, 1).reshape(9, -1)
     (rim_slots, reach), (f_slots, _) = slots(rim), slots(f_off)
     rim_slots, reach = rim_slots[:, :, None], reach[:, :, None]
     for k in range(0, ci.size, _INTERIOR_BLOCK):
@@ -336,20 +368,20 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
         a_ff = np.zeros((4, 4, bi.size))
         rhs = np.zeros((4, 4, bi.size))  # one row per corner
         for r, (fp, fq) in enumerate(f_off):
-            stn = planes[:, (3 * bi + fp) * (3 * nc + 1) + 3 * bj + fq]  # [offset, cell]
-            for d, (da, db) in enumerate(np.ndindex(3, 3)):
+            stn = fine_op.rows(3 * bi + fp, 3 * bj + fq)  # [cell, offset a, offset b]
+            for da, db in np.ndindex(3, 3):
                 tp, tq = fp + da - 1, fq + db - 1
                 if (tp, tq) in f_off:
-                    a_ff[r, f_off.index((tp, tq))] += stn[d]
+                    a_ff[r, f_off.index((tp, tq))] += stn[:, da, db]
                 else:
-                    rhs[r] -= stn[d] * known[rim.index((tp, tq))]
+                    rhs[r] -= stn[:, da, db] * known[rim.index((tp, tq))]
         # [cell, point, corner]
         sol = np.linalg.solve(a_ff.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
         pf[cell[:, None, None] + f_slots] = sol
 
     # Hanging fine targets interpolate d-linearly instead.
     if hanging is not None and hanging.any():
-        targets = _windows(hanging)[:, :, 1:6, 1:6].transpose(2, 3, 0, 1)
+        targets = _windows(_padded(hanging))[:, :, 1:6, 1:6].transpose(2, 3, 0, 1)
         np.copyto(p, geometric_prolongation()[:, :, None, None], where=targets)
 
     # Drop weights pointing outside the fine grid: below offset 0 from the
@@ -364,11 +396,12 @@ def boxmg_prolongation(fine_table: np.ndarray, refined: np.ndarray,
 # -- table-driven transfers -------------------------------------------------
 
 
-def _restrict_planes(fine: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """R = P^T from the offset planes: out[v] = sum over the offsets o of
-    P[v, o] * fine[3v + o], fine samples outside the grid read as zero, as
-    one einsum over the 5x5 windows of fine that P reaches."""
-    return np.einsum("abij,ijab->ij", planes, _windows(fine)[:, :, 1:6, 1:6])
+def _restrict_planes(pad: np.ndarray, planes: np.ndarray) -> np.ndarray:
+    """R = P^T from the offset planes, applied to a fine field zero-padded
+    by 3 (_padded): out[v] = sum over the offsets o of P[v, o] * fine[3v +
+    o], fine samples outside the grid read as zero, as one einsum over the
+    5x5 windows of fine that P reaches."""
+    return np.einsum("abij,ijab->ij", planes, _windows(pad)[:, :, 1:6, 1:6])
 
 
 # The fine-block entries r = o+3 mod 3 and the planes o+2 of the offsets o
@@ -391,36 +424,36 @@ def _prolong_planes(coarse: np.ndarray, planes: np.ndarray) -> np.ndarray:
     return fine[3 : 3 * nc + 4, 3 : 3 * nc + 4]
 
 
-def ritz_galerkin_coarse(fine_table: np.ndarray, p_planes: np.ndarray,
-                         dof: np.ndarray) -> np.ndarray:
-    """Coarse stencil table A_c = R A P from fine stencils and the offset
-    planes p_planes of P (boxmg_prolongation), as an offset-major table.
+def ritz_galerkin_coarse(fine_op, p_planes: np.ndarray, dof: np.ndarray) -> np.ndarray:
+    """Coarse stencil table A_c = R A P from the fine level's operator
+    fine_op (ElementOperator or TableOperator) and the offset planes
+    p_planes of P (boxmg_prolongation), as an offset-major table.
 
     dof is the fine level's boolean mask of the vertices that carry an
     equation; restriction only gathers residuals from those, so the other
-    rows of each A P e_c are set to +0.0.  That equals the product with
-    fine_table zeroed at those rows bit for bit: such a row would sum only
-    +-0 products onto +0.0.
+    rows of each A P e_c are set to +0.0.  For a TableOperator that equals
+    the product with its table zeroed at those rows bit for bit: such a
+    row would sum only +-0 products onto +0.0.
 
     A_c is probed with nine coloured coarse vectors e_c, 1 at the vertices
-    v with v mod 3 == c, which P and R = P^T carry by the kernels of the
-    cycles (_prolong_planes, _restrict_planes).  P reaches fine offsets
-    -2..2, so R A P couples vertices at most one apart and no two vertices
-    of one colour share a row: entry dw of vertex w is (R A P e_c)[w] for
-    c = (w + dw) mod 3.  Entries towards vertices outside the grid come out
-    zero, as no vertex of their colour lies within reach.
+    v with v mod 3 == c, which P, fine_op and R = P^T carry by the kernels
+    of the cycles (_prolong_planes, fine_op.apply, _restrict_planes).  P
+    reaches fine offsets -2..2, so R A P couples vertices at most one apart
+    and no two vertices of one colour share a row: entry dw of vertex w is
+    (R A P e_c)[w] for c = (w + dw) mod 3.  Entries towards vertices
+    outside the grid come out zero, as no vertex of their colour lies
+    within reach.
     """
     nc = p_planes.shape[2] - 1
-    op = TableOperator(fine_table)
     no_equation = ~dof
     probed = np.empty((3, 3, nc + 1, nc + 1))
     for ci in range(3):
         for cj in range(3):
             e = np.zeros((nc + 1, nc + 1))
             e[ci::3, cj::3] = 1.0
-            ape = op.apply(_prolong_planes(e, p_planes))
+            ape = fine_op.apply(_prolong_planes(e, p_planes))
             ape[no_equation] = 0.0
-            probed[ci, cj] = _restrict_planes(ape, p_planes)
+            probed[ci, cj] = _restrict_planes(_padded(ape), p_planes)
     v = np.arange(nc + 1)
     planes = np.empty((3, 3, nc + 1, nc + 1))
     for a in range(3):
@@ -438,13 +471,13 @@ def smoothed_restriction_table(p_planes: np.ndarray, omega: float) -> np.ndarray
     """Smoothed restriction weights omega * R A diag(A)^-1.
 
     Composes the restriction weights of P, its offset planes (or the
-    (5, 5) weights of one vertex), with A diag(A)^-1 of the
+    (5, 5) weights of one vertex), with c = A diag(A)^-1 of the
     unit-coefficient operator.  Returns the weights at offsets -3..3, all
     that the composition reaches, as a C-contiguous (nc+1, nc+1, 7, 7)
     table (or one (7, 7) stencil).
 
-    Entry t sums c[s] * p[t + 1 - s], c = A diag(A)^-1, over s descending
-    (sources in lexicographic order), one shifted add of the planes per s.
+    Entry t sums c[s] * p[t + 1 - s] over s descending (sources in
+    lexicographic order), one shifted add of the planes per s.
     """
     c = interior_stencil(1.0) * (3.0 / 8.0)
     out = np.zeros((7, 7) + p_planes.shape[2:])
@@ -455,10 +488,22 @@ def smoothed_restriction_table(p_planes: np.ndarray, omega: float) -> np.ndarray
     return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
 
-# The geometric R~ for omega = 1, shared and so read-only; the engines
-# scale it by their omega.
-GEOMETRIC_RTILDE = smoothed_restriction_table(geometric_prolongation(), 1.0)
-GEOMETRIC_RTILDE.flags.writeable = False
+def _smoothed_padded(fine: np.ndarray) -> np.ndarray:
+    """8 c fine zero-padded by 3 (as _padded), c = A diag(A)^-1 of the
+    unit-coefficient operator: the 3x3 stencil (9 delta - box)/8, box all
+    ones, samples outside the grid read as zero.  The box sum runs along
+    axis 0 into one scratch field and is subtracted along axis 1 in place,
+    so that the padded result is the only other fresh field."""
+    pad = np.zeros((fine.shape[0] + 6, fine.shape[1] + 6))
+    out = pad[3:-3, 3:-3]
+    box = fine.copy()
+    box[1:] += fine[:-1]
+    box[:-1] += fine[1:]
+    np.multiply(fine, 9.0, out=out)
+    out -= box
+    out[:, 1:] -= box[:, :-1]
+    out[:, :-1] -= box[:, 1:]
+    return pad
 
 
 # -- transfer bundle ---------------------------------------------------------
@@ -473,16 +518,23 @@ class TransferOps:
     windows of the fine field.  Restriction is always the transpose of
     prolongation and accumulates (it never averages).
 
-    rtilde holds the smoothed restriction weights, a (7, 7) stencil (a
-    multiple of GEOMETRIC_RTILDE) or an (nc+1, nc+1, 7, 7) table, both from
-    smoothed_restriction_table, or None when no damping equation is solved;
-    restrict_smoothed contracts it with the 7x7 windows of the fine field
-    by einsum for both flavours.
+    The smoothed restriction omega R~ = omega R c, c = A diag(A)^-1 of the
+    unit-coefficient operator, takes one of two forms.  With d-linear
+    transfers rtilde holds it as one (7, 7) stencil from
+    smoothed_restriction_table, which restrict_smoothed contracts with the
+    7x7 windows of the fine field by einsum.  With P's planes only omega
+    is stored: restrict_smoothed applies 8c to the fine field, restricts
+    the result by P and scales it by omega/8, which equals the contraction
+    with smoothed_restriction_table(p_planes, omega) up to rounding, as P
+    has no weight outside the fine grid.  Both are None when no damping
+    equation is solved.
     """
 
-    def __init__(self, p_planes: np.ndarray | None, rtilde: np.ndarray | None):
+    def __init__(self, p_planes: np.ndarray | None, rtilde: np.ndarray | None = None,
+                 omega: float | None = None):
         self.p_planes = p_planes
         self.rtilde = rtilde
+        self.omega = omega
 
     def prolong(self, coarse: np.ndarray) -> np.ndarray:
         if self.p_planes is None:
@@ -492,7 +544,11 @@ class TransferOps:
     def restrict(self, fine: np.ndarray) -> np.ndarray:
         if self.p_planes is None:
             return restrict_dlinear(fine)
-        return _restrict_planes(fine, self.p_planes)
+        return _restrict_planes(_padded(fine), self.p_planes)
 
     def restrict_smoothed(self, fine: np.ndarray) -> np.ndarray:
-        return np.einsum("...ab,...ab->...", _windows(fine), self.rtilde)
+        if self.p_planes is None:
+            return np.einsum("...ab,...ab->...", _windows(_padded(fine)), self.rtilde)
+        out = _restrict_planes(_smoothed_padded(fine), self.p_planes)
+        out *= self.omega / 8.0
+        return out

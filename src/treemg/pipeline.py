@@ -39,7 +39,9 @@ requirement is iterate equality with the level-by-level reference engine:
 The operators are those of the reference engine, but built at once: the
 reference engine propagates the BoxMG operators one level per cycle, and
 a sweep that mixes two cycles would mix two operator sets, so rebuild()
-builds every stale level before the traversal is compiled.
+builds every stale level before the traversal is compiled.  BoxMG levels
+store no R~, so the compilation composes their R~ rows from P with
+smoothed_restriction_table, one level at a time.
 
 The traversal is compiled once per mesh, at the first sweep after
 rebuild(): ``traverse`` yields the event stream, and numpy turns it into
@@ -68,7 +70,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .discretization import ELEMENT_MATRIX_UNIT
-from .operators import geometric_prolongation
+from .operators import geometric_prolongation, smoothed_restriction_table
 from .solvers import PIPELINE_VARIANTS, ReferenceEngine, SolverConfig
 from .spacetree import (
     ENTER_CELL,
@@ -222,7 +224,8 @@ class PipelineEngine(ReferenceEngine):
                 rows["prow"][span] = _ragged(ok & near & (w != 0.0), ids(lc, ci, cj), w)
                 oi, oj = np.clip(di, -3, 3) + 3, np.clip(dj, -3, 3) + 3
                 if jac:
-                    rt = tr.rtilde[oi, oj] if tr.rtilde.ndim == 2 else tr.rtilde[ci, cj, oi, oj]
+                    rt = (tr.rtilde[oi, oj] if tr.p_planes is None else
+                          smoothed_restriction_table(tr.p_planes, tr.omega)[ci, cj, oi, oj])
                     rows["rrow"][span] = _ragged(ok & (rt != 0.0), ids(lc, ci, cj), rt)
                 cpt = (I % 3 == 0) & (J % 3 == 0)
                 cpar[span][cpt] = ids(lc, I // 3, J // 3)[cpt]

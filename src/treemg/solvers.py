@@ -37,14 +37,18 @@ regression tests can compare iterates bitwise.
 
 The BoxMG operators propagate one resolution level per cycle.  rebuild()
 gives every level its rediscretized operator and every coarse level the
-d-linear transfers and GEOMETRIC_RTILDE * omega, which the geometric
-flavour keeps; BoxMG coarse levels hold them as stand-ins and are stale.
-Each advance() ends, once its cycle's arrays are released, by building the
-finest stale level l from level l+1's current table: P, the Galerkin rows
-at its overlapped vertices laid over the rediscretized table, and R~.  So
-the first boxmg cycle is the geometric one, cycle n+1 runs on the operators
-of the n finest coarse levels, and after ltop - lmin cycles on an unchanged
-mesh every table is bitwise that of an eager build.  The pipelined engine,
+d-linear transfers and the 7x7 geometric R~ stencil for omega, composed
+once by smoothed_restriction_table, which the geometric flavour keeps;
+BoxMG coarse levels hold them as stand-ins and are stale.  Each advance()
+ends, once its cycle's arrays are released, by building the finest stale
+level l from level l+1's current operator: P from its stencil rows, and
+the Galerkin rows at its overlapped vertices, probed with its apply and
+laid over the rediscretized table.  A built level stores no R~: its
+TransferOps applies omega R A_unit diag(A_unit)^-1 from P.  So the first
+boxmg cycle is the geometric one, cycle n+1 runs on the operators of the n
+finest coarse levels, and after ltop - lmin cycles on an unchanged mesh
+every table is bitwise that of an eager build.  No level materialises the
+stencil table of the element operator above it.  The pipelined engine,
 whose sweep mixes two cycles, builds every level in its rebuild().
 """
 
@@ -56,12 +60,12 @@ from functools import cached_property
 import numpy as np
 
 from .operators import (
-    GEOMETRIC_RTILDE,
     ElementOperator,
     TableOperator,
     TransferOps,
     assemble_stencil_table,
     boxmg_prolongation,
+    geometric_prolongation,
     prolong_values,
     ritz_galerkin_coarse,
     smoothed_restriction_table,
@@ -239,7 +243,8 @@ class ReferenceEngine:
         # replaces them, one level per cycle
         for l in range(tree.lmin, self.ltop + 1):
             self.ops[l] = ElementOperator(eps_masked[l])
-        rt = GEOMETRIC_RTILDE * self.cfg.omega if self.cfg.variant == "adafac-jac" else None
+        rt = (smoothed_restriction_table(geometric_prolongation(), self.cfg.omega)
+              if self.cfg.variant == "adafac-jac" else None)
         for l in range(tree.lmin, self.ltop):
             self.transfers[l] = TransferOps(None, rt)
         self.stale = self.ltop - 1 if self.cfg.flavor == "boxmg" else tree.lmin - 1
@@ -258,28 +263,24 @@ class ReferenceEngine:
 
     def build_stale_level(self) -> bool:
         """Build the BoxMG operators of the finest stale level l from level
-        l+1's current table: P, the Galerkin rows at overlapped vertices
-        laid over the rediscretized table, and R~.  False when no level is
-        stale."""
+        l+1's current operator: P and the Galerkin rows at overlapped
+        vertices laid over the rediscretized table; R~ is applied from P in
+        the cycles.  False when no level is stale."""
         l = self.stale
         if l < self.tree.lmin:
             return False
         tree = self.tree
         self.__dict__.pop("diag", None)
-        raw = self.ops[l + 1].table()
+        fine = self.ops[l + 1]
         refined = tree.refined[l] & tree.cells_exist(l)
-        planes = boxmg_prolongation(raw, refined, self.masks[l + 1]["hanging"])
-        rap = ritz_galerkin_coarse(raw, planes, self.masks[l + 1]["dof"])
-        # R~ comes after the finer table is released, which level ltop's is
-        # here
-        del raw
+        planes = boxmg_prolongation(fine, refined, self.masks[l + 1]["hanging"])
+        rap = ritz_galerkin_coarse(fine, planes, self.masks[l + 1]["dof"])
         tbl = assemble_stencil_table(self.ops[l].eps)
         np.copyto(tbl, rap, where=self.masks[l]["overlapped"][:, :, None, None])
         del rap
         self.ops[l] = TableOperator(tbl)
-        rt = (smoothed_restriction_table(planes, self.cfg.omega)
-              if self.cfg.variant == "adafac-jac" else None)
-        self.transfers[l] = TransferOps(planes, rt)
+        omega = self.cfg.omega if self.cfg.variant == "adafac-jac" else None
+        self.transfers[l] = TransferOps(planes, omega=omega)
         self.stale = l - 1
         if self.cfg.variant == "multiplicative-v10":
             self._coarse_dense = self._dense_interior_matrix(l)

@@ -11,7 +11,7 @@ import pytest
 
 from treemg.bench import ExperimentConfig, count_updates, regular_level_dofs, run
 from treemg.discretization import constant_field
-from treemg.operators import GEOMETRIC_RTILDE
+from treemg.operators import geometric_prolongation, smoothed_restriction_table
 from treemg.oracle import DenseHierarchy, dense_cycle, eq5_difference, exact_solve
 from treemg.pipeline import PipelineEngine
 from treemg.solvers import ReferenceEngine, SolverConfig
@@ -83,7 +83,7 @@ def test_criterion_2_printed_stencil():
     the published 7x7 table at every entry to three significant digits,
     before truncation changes anything.  The untruncated stencil is the row
     of coarse vertex (4, 4) in the dense oracle's omega R A diag(A)^-1 on
-    levels 2 -> 3; the engines' GEOMETRIC_RTILDE is its truncation."""
+    levels 2 -> 3; the engines' geometric omega = 1 stencil is its truncation."""
     h = DenseHierarchy(2, 3, POISSON, omega=1.0)
     row = h.rt[2][h.levels[2].idx(4, 4)].reshape(28, 28)
     window = row[8:17, 8:17].copy()  # fine offsets -4..4 around fine vertex (12, 12)
@@ -92,7 +92,7 @@ def test_criterion_2_printed_stencil():
     assert np.abs(window[0, :]).max() == 0.0 and np.abs(window[-1, :]).max() == 0.0
     assert np.abs(window[:, 0]).max() == 0.0 and np.abs(window[:, -1]).max() == 0.0
     got = window[1:-1, 1:-1]
-    assert np.abs(GEOMETRIC_RTILDE - got).max() <= 1e-15
+    assert np.abs(smoothed_restriction_table(geometric_prolongation(), 1.0) - got).max() <= 1e-15
     for i in range(7):
         for j in range(7):
             want = PRINTED[i, j]

@@ -245,6 +245,22 @@ def test_memory_estimate_covers_the_measured_peak(engine, flavor, lmax, per_vert
     assert peak / (3**lmax + 1) ** 2 < per_vertex
 
 
+def test_boxmg_peak_over_a_whole_solve_stays_below_140_bytes_per_finest_vertex():
+    """The traced peak of a boxmg half-jump k=3 solve at lmax 5, set-up and
+    every cycle to convergence, stays below 140 B per finest vertex.  With
+    a stored R~ table per coarse level and the finest stencil table
+    assembled for the build of level lmax - 1 it was 177 B."""
+    cfg = ExperimentConfig(setup="half-jump", k=3, flavor="boxmg", lmax=5)
+    tracemalloc.start()
+    try:
+        result = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.status == bench.EXIT_CONVERGED and result.reports[-1].cycle == 68
+    assert peak / (3**5 + 1) ** 2 < 140
+
+
 def test_cli_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

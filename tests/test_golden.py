@@ -26,6 +26,7 @@ import numpy as np
 
 from treemg.bench import make_field
 from treemg.cli import main
+from treemg.operators import TableOperator, boxmg_prolongation, smoothed_restriction_table
 from treemg.solvers import ReferenceEngine, SolverConfig
 from treemg.spacetree import VertexKind, build_regular
 
@@ -105,7 +106,8 @@ def array_digest(arr: np.ndarray) -> str:
 def table_digests(tree, flavor: str) -> dict[str, str]:
     """Digests of the tables an adafac-jac engine builds on tree, once it
     has built every level: per level its stencil table and diagonal, and
-    per coarse level its P (boxmg only) and R~."""
+    per coarse level its P (boxmg only) and R~, which boxmg levels do not
+    store and which is composed from P here."""
     eng = ReferenceEngine(tree, SolverConfig(variant="adafac-jac", flavor=flavor))
     while eng.build_stale_level():
         pass
@@ -115,14 +117,32 @@ def table_digests(tree, flavor: str) -> dict[str, str]:
         out[f"diag{l}"] = array_digest(eng.diag[l])
         if l < eng.ltop:
             tr = eng.transfers[l]
-            if tr.p_planes is not None:
+            if tr.p_planes is None:
+                out[f"Rt{l}"] = array_digest(tr.rtilde)
+            else:
                 out[f"P{l}"] = array_digest(tr.p_planes)
-            out[f"Rt{l}"] = array_digest(tr.rtilde)
+                out[f"Rt{l}"] = array_digest(smoothed_restriction_table(tr.p_planes, tr.omega))
     return out
 
 
 def all_table_digests() -> dict[str, dict[str, str]]:
     return {name: table_digests(tree, flavor) for name, tree, flavor in table_corpus()}
+
+
+def test_boxmg_prolongation_reads_the_operator_rows_bit_for_bit():
+    """On every boxmg mesh of the corpus and at every level, P built from
+    the fine ElementOperator's rows equals P built from its assembled
+    table bit for bit (as int64 views)."""
+    for name, tree, flavor in table_corpus():
+        if flavor != "boxmg":
+            continue
+        eng = ReferenceEngine(tree, SolverConfig(flavor="boxmg"))  # no level built yet
+        for l in range(tree.lmin, eng.ltop):
+            fine, hanging = eng.ops[l + 1], eng.masks[l + 1]["hanging"]
+            refined = tree.refined[l] & tree.cells_exist(l)
+            got = boxmg_prolongation(fine, refined, hanging)
+            want = boxmg_prolongation(TableOperator(fine.table()), refined, hanging)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, l)
 
 
 def test_golden_table_digests():

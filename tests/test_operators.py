@@ -11,7 +11,7 @@ from treemg.discretization import (
     skew_checkerboard,
 )
 from treemg.operators import (
-    GEOMETRIC_RTILDE,
+    _padded,
     _prolong_planes,
     _restrict_planes,
     ElementOperator,
@@ -35,6 +35,9 @@ from treemg.spacetree import VertexKind, build_regular
 SMOOTHED_CENTER = 4.0 / 9.0
 SMOOTHED_FACE = 1.0 / 6.0
 SMOOTHED_CORNER = -1.0 / 72.0
+
+# The geometric R~ for omega = 1, which the engines compose for their omega.
+GEOMETRIC_RTILDE = smoothed_restriction_table(geometric_prolongation(), 1.0)
 
 
 def geometric_p_planes(nc):
@@ -137,6 +140,23 @@ def test_element_operator_matches_table_operator():
                 assert op_e.apply(e)[i, j] == pytest.approx(tbl[i, j, a, b], abs=1e-14)
 
 
+@pytest.mark.parametrize("n", [1, 3, 9, 27])
+def test_operator_rows_are_the_assembled_rows_bit_for_bit(n):
+    """Both operators' rows are the assembled table's rows bit for bit,
+    on fields with zero cells inside and on the border, at random vertices
+    and at every vertex at once."""
+    rng = np.random.default_rng(53 + n)
+    eps = rng.uniform(0.1, 2.0, size=(n, n))
+    eps[rng.random((n, n)) < 0.3] = 0.0
+    eps[n - 1, 0] = 0.0
+    tbl = assemble_stencil_table(eps)
+    every = np.indices((n + 1, n + 1))
+    picks = rng.integers(0, n + 1, size=(2, 5, 7))
+    for op in (ElementOperator(eps), TableOperator(tbl)):
+        for i, j in (every, picks, (picks[0, :, :1], picks[1, :1, :])):
+            assert bitwise_equal(op.rows(i, j), tbl[i, j])
+
+
 def element_apply_by_slices(eps, x):
     """The element operator as 2-D slice passes, one per corner pair: the
     reference for the order of the products and sums."""
@@ -200,7 +220,7 @@ def test_boxmg_equals_bilinear_for_unit_coefficient():
     nc = 3
     eps = np.ones((3 * nc, 3 * nc))
     tbl = assemble_stencil_table(eps)
-    p = p_table(boxmg_prolongation(tbl, np.ones((nc, nc), dtype=bool)))
+    p = p_table(boxmg_prolongation(TableOperator(tbl), np.ones((nc, nc), dtype=bool)))
     want = p_table(geometric_p_planes(nc))
     mask = in_range_mask(nc)
     assert np.abs((p - want)[mask]).max() < 1e-12
@@ -211,15 +231,16 @@ def test_boxmg_scale_invariance():
     rng = np.random.default_rng(11)
     eps = rng.uniform(0.5, 1.5, size=(3 * nc, 3 * nc))
     refined = np.ones((nc, nc), dtype=bool)
-    p1 = boxmg_prolongation(assemble_stencil_table(eps), refined)
-    p2 = boxmg_prolongation(assemble_stencil_table(4.2 * eps), refined)
+    p1 = boxmg_prolongation(TableOperator(assemble_stencil_table(eps)), refined)
+    p2 = boxmg_prolongation(TableOperator(assemble_stencil_table(4.2 * eps)), refined)
     assert np.abs(p1 - p2).max() < 1e-12
 
 
 def test_boxmg_c_point_rows_are_unit():
     nc = 3
     eps = np.where(np.add.outer(np.arange(3 * nc), np.arange(3 * nc)) % 2 == 0, 1.0, 0.01)
-    p = p_table(boxmg_prolongation(assemble_stencil_table(eps), np.ones((nc, nc), dtype=bool)))
+    p = p_table(boxmg_prolongation(TableOperator(assemble_stencil_table(eps)),
+                                   np.ones((nc, nc), dtype=bool)))
     # weights of any coarse vertex at c-point offsets are exactly {0, 1}
     for oi in (-3, 0, 3):
         for oj in (-3, 0, 3):
@@ -232,7 +253,7 @@ def test_boxmg_reproduces_constants():
     nc = 3
     rng = np.random.default_rng(5)
     eps = rng.uniform(0.1, 3.0, size=(3 * nc, 3 * nc))
-    p = boxmg_prolongation(assemble_stencil_table(eps), np.ones((nc, nc), dtype=bool))
+    p = boxmg_prolongation(TableOperator(assemble_stencil_table(eps)), np.ones((nc, nc), dtype=bool))
     ops = TransferOps(p, None)
     ones = np.ones((nc + 1, nc + 1))
     fine = ops.prolong(ones)
@@ -248,7 +269,7 @@ def test_boxmg_gamma_jump_matches_flux_oracle():
     eps = np.ones((3, 3))
     eps[:, 0] = np.array([1.0, 1.0, 0.1])  # jump along the bottom row of cells
     tbl = assemble_stencil_table(eps)
-    p = boxmg_prolongation(tbl, np.ones((1, 1), dtype=bool))
+    p = boxmg_prolongation(TableOperator(tbl), np.ones((1, 1), dtype=bool))
 
     def lumped(stn):
         return stn.sum(axis=1)
@@ -275,7 +296,7 @@ def test_ritz_galerkin_unit_coefficient_equals_rediscretization():
     # rows without test functions do not restrict
     dof = np.zeros((nf + 1, nf + 1), dtype=bool)
     dof[1:-1, 1:-1] = True
-    coarse = ritz_galerkin_coarse(tbl, geometric_p_planes(nc), dof)
+    coarse = ritz_galerkin_coarse(TableOperator(tbl), geometric_p_planes(nc), dof)
     want = assemble_stencil_table(np.ones((nc, nc)))
     interior = np.s_[1:-1, 1:-1]
     assert np.abs(coarse[interior] - want[interior]).max() < 1e-12
@@ -288,7 +309,8 @@ def test_ritz_galerkin_differs_from_rediscretization_under_jump():
     eps = np.where(mids[:, None] > 0.5, 0.1, 1.0) * np.ones((1, nf))
     dof = np.zeros((nf + 1, nf + 1), dtype=bool)
     dof[1:-1, 1:-1] = True
-    coarse = ritz_galerkin_coarse(assemble_stencil_table(eps), geometric_p_planes(nc), dof)
+    coarse = ritz_galerkin_coarse(TableOperator(assemble_stencil_table(eps)),
+                                  geometric_p_planes(nc), dof)
     mids_c = (np.arange(nc) + 0.5) / nc
     eps_c = np.where(mids_c[:, None] > 0.5, 0.1, 1.0) * np.ones((1, nc))
     redisc = assemble_stencil_table(eps_c)
@@ -367,7 +389,7 @@ def boxmg_level(nc, partial):
     assert (kinds == VertexKind.HANGING).any() == partial
     raw = assemble_stencil_table(tree.eps[l + 1] * tree.cells_exist(l + 1))
     refined = tree.refined[l] & tree.cells_exist(l)
-    p = boxmg_prolongation(raw, refined, kinds == VertexKind.HANGING)
+    p = boxmg_prolongation(TableOperator(raw), refined, kinds == VertexKind.HANGING)
     return p, kinds
 
 
@@ -425,19 +447,23 @@ def test_table_restrict_is_prolong_transpose(partial):
                        atol=1e-13)
 
 
-def test_table_restrict_smoothed_reads_the_table():
+@pytest.mark.parametrize("source", ["boxmg", "partial", "graded"])
+def test_boxmg_restrict_smoothed_is_the_composed_table(source, graded):
+    """With P's planes, restrict_smoothed applies omega R (c f), c = A
+    diag(A)^-1 of the unit operator; that is the contraction with
+    smoothed_restriction_table(planes, omega) to 1e-14 of the summed
+    magnitudes of its terms, at every coarse vertex."""
     rng = np.random.default_rng(29)
-    nc = 9
-    p = boxmg_level(nc, partial=True)[0]
-    f = rng.standard_normal((3 * nc + 1, 3 * nc + 1))
-    rt = smoothed_restriction_table(p, 0.6)
-    got = TransferOps(p, rt).restrict_smoothed(f)
-    assert np.allclose(got, contract_by_definition(rt, f), atol=1e-13)
-    # one constant stencil for every vertex
-    const = GEOMETRIC_RTILDE * 0.6
-    got = TransferOps(p, const).restrict_smoothed(f)
-    want = contract_by_definition(np.broadcast_to(const, (nc + 1, nc + 1, 7, 7)), f)
-    assert np.allclose(got, want, atol=1e-13)
+    if source == "partial":
+        cases = [("partial", boxmg_level(9, partial=True)[0])]
+    else:
+        cases = p_planes_of(source, graded)
+    for name, planes in cases:
+        nc = planes.shape[2] - 1
+        fine = signed_zero_field(rng, (3 * nc + 1, 3 * nc + 1))
+        got = TransferOps(planes, omega=0.6).restrict_smoothed(fine)
+        want, mag = restrict_by_loop(smoothed_restriction_table(planes, 0.6), fine)
+        assert (np.abs(got - want) <= 1e-14 * mag).all(), name
 
 
 def test_geometric_restrict_smoothed_matches_constant_stencil():
@@ -528,7 +554,7 @@ def test_boxmg_prolongation_matches_dense_oracle(field, l):
     oracle on fields that vary along both axes."""
     coarse, fine = DenseLevel(l, field), DenseLevel(l + 1, field)
     want = dense_p_planes(dense_boxmg_p(coarse, fine, fine.a_raw), coarse, fine)
-    got = boxmg_prolongation(assemble_stencil_table(epsilon_cells(field, l + 1)),
+    got = boxmg_prolongation(TableOperator(assemble_stencil_table(epsilon_cells(field, l + 1))),
                              np.ones((3**l, 3**l), dtype=bool))
     assert np.abs(got - want).max() < 1e-12
 
@@ -549,7 +575,8 @@ def test_probed_ritz_galerkin_matches_dense_oracle():
                         ti, tj = i + a - 1, j + b - 1
                         if 0 <= ti <= fine.n and 0 <= tj <= fine.n:
                             a_tbl[i, j, a, b] = fine.a[fine.idx(i, j), fine.idx(ti, tj)]
-        rap = ritz_galerkin_coarse(a_tbl, p_planes, np.ones((fine.n + 1, fine.n + 1), dtype=bool))
+        rap = ritz_galerkin_coarse(TableOperator(a_tbl), p_planes,
+                                   np.ones((fine.n + 1, fine.n + 1), dtype=bool))
         want = h.p[l].T @ fine.a @ h.p[l]
         scale = np.abs(want).max()
         for i in range(nc + 1):
@@ -581,9 +608,9 @@ def test_probes_zero_the_rows_without_an_equation_bit_for_bit(graded):
         assert (~fine["dof"]).any()
         raw = eng.ops[l + 1].table()
         p = eng.transfers[l].p_planes
-        want = ritz_galerkin_coarse(raw * fine["dof"][:, :, None, None], p,
+        want = ritz_galerkin_coarse(TableOperator(raw * fine["dof"][:, :, None, None]), p,
                                     np.ones_like(fine["dof"]))
-        assert bitwise_equal(ritz_galerkin_coarse(raw, p, fine["dof"]), want)
+        assert bitwise_equal(ritz_galerkin_coarse(TableOperator(raw), p, fine["dof"]), want)
     assert any(eng.masks[l]["hanging"].any() for l in eng.masks)
 
 
@@ -600,13 +627,13 @@ def test_stencil_tables_are_offset_major_and_read_in_either_layout():
     assert bitwise_equal(TableOperator(tbl).apply(x), TableOperator(dense).apply(x))
     assert bitwise_equal(TableOperator(tbl).diag(), dense[:, :, 1, 1])
     refined = rng.random((9, 9)) < 0.6
-    p = boxmg_prolongation(tbl, refined)
+    p = boxmg_prolongation(TableOperator(tbl), refined)
     assert p.flags.c_contiguous
-    assert bitwise_equal(p, boxmg_prolongation(dense, refined))
+    assert bitwise_equal(p, boxmg_prolongation(TableOperator(dense), refined))
     dof = np.ones((28, 28), dtype=bool)
-    rap = ritz_galerkin_coarse(tbl, p, dof)
+    rap = ritz_galerkin_coarse(TableOperator(tbl), p, dof)
     assert rap.transpose(2, 3, 0, 1).flags.c_contiguous
-    assert bitwise_equal(rap, ritz_galerkin_coarse(dense, p, dof))
+    assert bitwise_equal(rap, ritz_galerkin_coarse(TableOperator(dense), p, dof))
     assert smoothed_restriction_table(p, 0.6).flags.c_contiguous
 
 
@@ -688,7 +715,7 @@ def test_plane_restriction_is_the_loop_sum_and_the_transpose(source, graded):
     for name, planes in p_planes_of(source, graded):
         nc = planes.shape[2] - 1
         fine = signed_zero_field(rng, (3 * nc + 1, 3 * nc + 1))
-        got = _restrict_planes(fine, planes)
+        got = _restrict_planes(_padded(fine), planes)
         want, mag = restrict_by_loop(p_table(planes), fine)
         assert (np.abs(got - want) <= 1e-14 * mag).all(), name
         assert bitwise_equal(TransferOps(planes, None).restrict(fine), got)
@@ -710,8 +737,8 @@ def test_plane_prolongation_adds_in_block_order_bit_for_bit(source, graded):
 
 def test_boxmg_transfers_hold_p_once_as_offset_planes(graded):
     """After set-up each boxmg TransferOps holds P as 25 owned planes of
-    (nc+1)^2 weights and nothing else of P: the planes boxmg_prolongation
-    returned, bit for bit."""
+    (nc+1)^2 weights and no other array, no R~ table among them: the planes
+    boxmg_prolongation returned from the finer table, bit for bit."""
     eng = ReferenceEngine(graded, SolverConfig(flavor="boxmg"))
     while eng.build_stale_level():
         pass
@@ -722,8 +749,8 @@ def test_boxmg_transfers_hold_p_once_as_offset_planes(graded):
         assert planes.nbytes == 25 * 8 * (nc + 1) ** 2
         assert planes.base is None and planes.flags.c_contiguous
         held = [v for v in vars(tr).values() if isinstance(v, np.ndarray)]
-        assert len(held) == 2 and any(v is planes for v in held)
-        assert any(v is tr.rtilde for v in held)
+        assert len(held) == 1 and held[0] is planes
         refined = graded.refined[l] & graded.cells_exist(l)
-        want = boxmg_prolongation(eng.ops[l + 1].table(), refined, eng.masks[l + 1]["hanging"])
+        want = boxmg_prolongation(TableOperator(eng.ops[l + 1].table()), refined,
+                                  eng.masks[l + 1]["hanging"])
         assert want.flags.c_contiguous and bitwise_equal(planes, want)

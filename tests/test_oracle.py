@@ -3,6 +3,7 @@ import pytest
 
 from treemg.discretization import constant_field, half_domain_jump, needle_inclusion, skew_checkerboard
 from treemg.operators import (
+    TableOperator,
     assemble_stencil_table,
     boxmg_prolongation,
     ritz_galerkin_coarse,
@@ -105,11 +106,11 @@ def test_dense_galerkin_matches_stencil_rap():
     from treemg.spacetree import build_regular
 
     tree = build_regular(2, field=field)
-    tbl = assemble_stencil_table(tree.eps[2])
+    op = TableOperator(assemble_stencil_table(tree.eps[2]))
     dofmask = tree.dof_mask(2)
-    p_planes = boxmg_prolongation(tbl, np.ones((3, 3), dtype=bool),
+    p_planes = boxmg_prolongation(op, np.ones((3, 3), dtype=bool),
                                   tree.vertex_kinds(2) == VertexKind.HANGING)
-    rap = ritz_galerkin_coarse(tbl, p_planes, dofmask)
+    rap = ritz_galerkin_coarse(op, p_planes, dofmask)
     n = 3
     for i in range(1, n):
         for j in range(1, n):
@@ -129,7 +130,7 @@ def test_dense_boxmg_matches_stencil_boxmg():
 
     tree = build_regular(2, field=field)
     tbl = assemble_stencil_table(tree.eps[2])
-    p_planes = boxmg_prolongation(tbl, np.ones((3, 3), dtype=bool),
+    p_planes = boxmg_prolongation(TableOperator(tbl), np.ones((3, 3), dtype=bool),
                                   tree.vertex_kinds(2) == VertexKind.HANGING)
     fine, coarse = h.levels[2], h.levels[1]
     for ci in range(4):

@@ -313,16 +313,15 @@ def test_omega_tilde_zero_matches_scaled_damping():
 
 
 def test_boxmg_engine_storage_layouts():
-    """R~ stays a C-contiguous (nc+1, nc+1, 7, 7) table, as einsum
-    contracts it in an order set by its strides; P is kept as C-contiguous
-    (5, 5, nc+1, nc+1) offset planes; the stencil tables are
-    offset-major."""
+    """P is kept as C-contiguous (5, 5, nc+1, nc+1) offset planes, and R~
+    is not stored: only its weight omega, as restrict_smoothed applies it
+    from P; the stencil tables are offset-major."""
     tree, eng = make_engine(3, half_domain_jump(3), built=True, flavor="boxmg")
     assert sorted(eng.transfers) == [1, 2]
     for l, tr in eng.transfers.items():
         n1 = 3**l + 1
         assert tr.p_planes.shape == (5, 5, n1, n1) and tr.p_planes.flags.c_contiguous
-        assert tr.rtilde.shape == (n1, n1, 7, 7) and tr.rtilde.flags.c_contiguous
+        assert tr.rtilde is None and tr.omega == eng.cfg.omega
     for op in eng.ops.values():
         assert op.table().transpose(2, 3, 0, 1).flags.c_contiguous
 
@@ -364,7 +363,9 @@ def test_boxmg_operators_propagate_one_level_per_cycle(mesh, graded, monkeypatch
             assert (tr.p_planes is None) == (tw.p_planes is None), l
             if tr.p_planes is not None:
                 assert same_bits(tr.p_planes, tw.p_planes), l
-            assert same_bits(tr.rtilde, tw.rtilde), l
+                assert tr.rtilde is None and tr.omega == tw.omega, l
+            else:
+                assert same_bits(tr.rtilde, tw.rtilde), l
 
     check(0)
     for n in range(1, ltop - lmin + 2):
