@@ -265,45 +265,39 @@ def _windows(pad: np.ndarray) -> np.ndarray:
     return np.ndarray(n1 + (7, 7), pad.dtype, pad, strides=(3 * s0, 3 * s1, s0, s1))
 
 
-def _solve_gamma(a_m1, a_01, a_p1, a_m2, a_02, a_p2, active):
+def _solve_gamma(a_m1, a_01, a_p1, a_m2, a_02, a_p2):
     """Lumped 1D interpolation solves for the two face points of an edge.
 
     Point 1 sits next to the 'low' c-point, point 2 next to the 'high' one.
-    Returns (w_low_1, w_low_2, w_high_1, w_high_2).
+    Returns (w_low_1, w_low_2), (w_high_1, w_high_2).
     """
     det = a_01 * a_02 - a_p1 * a_m2
     scale = np.abs(a_01 * a_02) + np.abs(a_p1 * a_m2)
-    bad = active & (np.abs(det) <= 1e-14 * np.maximum(scale, 1e-300))
-    if bad.any():
+    if (np.abs(det) <= 1e-14 * np.maximum(scale, 1e-300)).any():
         raise ArithmeticError("degenerate collapsed stencil in face-point solve")
-    det = np.where(active, det, 1.0)
-    wl1 = np.where(active, (-a_m1) * a_02 / det, 0.0)
-    wl2 = np.where(active, a_m2 * a_m1 / det, 0.0)
-    wh1 = np.where(active, a_p1 * a_p2 / det, 0.0)
-    wh2 = np.where(active, a_01 * (-a_p2) / det, 0.0)
-    return wl1, wl2, wh1, wh2
+    return ((-a_m1) * a_02 / det, a_m2 * a_m1 / det), (a_p1 * a_p2 / det, a_01 * (-a_p2) / det)
 
 
 def _face_points(rows, refined: np.ndarray, p: np.ndarray) -> None:
     """Face-point weights of the edges along axis 0 into the planes p.
 
     Edge (I, J) runs from c-point (I, J) to (I+1, J) through fine points
-    (3I+1, 3J) and (3I+2, 3J); an edge of a refined cell is solved on the
-    stencil lumped along its normal, axis 1.  rows(i, j) gives the fine
-    stencil rows of vertices (i, j).  The other edges are the axis-0 edges
-    of the transposed views (rows with its indices and offsets swapped,
-    refined.T, p.transpose(1, 0, 3, 2)).
+    (3I+1, 3J) and (3I+2, 3J), their weights p[3:, 2, I, J] and p[:2, 2,
+    I+1, J]; only edges of refined cells are solved, on the stencil lumped
+    along their normal, axis 1.  rows(i, j) gives the fine stencil rows of
+    vertices (i, j).  The other edges are the axis-0 edges of the
+    transposed views (rows with its indices and offsets swapped, refined.T,
+    p.transpose(1, 0, 3, 2)).
     """
     active = np.zeros((refined.shape[0], refined.shape[1] + 1), dtype=bool)
     active[:, 1:] |= refined
     active[:, :-1] |= refined
-    i = 3 * np.arange(refined.shape[0])[:, None]
-    j = 3 * np.arange(refined.shape[1] + 1)
+    ei, ej = np.nonzero(active)
     # the stencils of the two face points, lumped over offset b in the
     # order b = 0, 1, 2
     lumped = [t[..., a, 0] + t[..., a, 1] + t[..., a, 2]
-              for t in (rows(i + 1, j), rows(i + 2, j)) for a in range(3)]
-    p[3, 2, :-1], p[4, 2, :-1], p[0, 2, 1:], p[1, 2, 1:] = _solve_gamma(*lumped, active)
+              for t in (rows(3 * ei + 1, 3 * ej), rows(3 * ei + 2, 3 * ej)) for a in range(3)]
+    p[3:, 2, ei, ej], p[:2, 2, ei + 1, ej] = _solve_gamma(*lumped)
 
 
 def boxmg_prolongation(fine_op, refined: np.ndarray,
@@ -324,12 +318,14 @@ def boxmg_prolongation(fine_op, refined: np.ndarray,
     interior solves run over chunks of _INTERIOR_BLOCK cells, so that their
     scratch memory does not grow with the level.
 
-    Returns P's offset planes, the C-contiguous (5, 5, nc+1, nc+1) array
-    of its weights at fine offsets -2..2, written there from the start.
+    Returns P's offset planes, the C-contiguous (5, 5, nc+1, nc+1) array p,
+    read and written by their indices throughout: p[a+2, b+2, i, j] is the
+    weight of coarse vertex (i, j) at fine vertex (3i+a, 3j+b).  Each
+    target lies inside the fine grid (c-points, face points between two
+    c-points, interior points of their cell, hanging fine vertices).
     """
     nc = refined.shape[0]
-    n1 = nc + 1
-    p = np.zeros((5, 5, n1, n1))
+    p = np.zeros((5, 5, nc + 1, nc + 1))
     p[2, 2] = 1.0  # c-points: identity
     _face_points(fine_op.rows, refined, p)
     _face_points(lambda i, j: fine_op.rows(j, i).swapaxes(-2, -1), refined.T,
@@ -338,33 +334,18 @@ def boxmg_prolongation(fine_op, refined: np.ndarray,
     # Interior points, vectorized over chunks of refined cells: the four
     # interior points of a refined coarse cell couple only to each other and
     # to the cell's boundary points.  Patch-local coordinates (tp, tq) run
-    # over 0..3; corner (cp, cq) of cell (ci, cj) is coarse vertex
-    # (ci + cp//3, cj + cq//3), whose weight at patch point (tp, tq) is its
-    # P entry at offset (tp - cp, tq - cq).  a_ff and rhs keep one row per
-    # matrix entry, [point, point or corner, cell]; P is read and written
-    # through flat indices.  A cell reads only c-point and face-point
-    # weights, so its solve does not depend on the chunk it falls in.
+    # over 0..3; corner (cp, cq) in {0, 1}^2 of cell (ci, cj) is coarse
+    # vertex (ci + cp, cj + cq), whose weight at patch point (tp, tq) is
+    # p[tp - 3cp + 2, tq - 3cq + 2, ci + cp, cj + cq] (zero at offsets
+    # +-3).  a_ff and rhs keep one row per matrix entry, [point, point or
+    # corner, cell].  A cell reads only c-point and face-point weights, so
+    # its solve does not depend on the chunk it falls in.
     ci, cj = np.nonzero(refined)
     f_off = ((1, 1), (2, 1), (1, 2), (2, 2))
-    corners = ((0, 0), (3, 0), (0, 3), (3, 3))
-    rim = [(tp, tq) for tp in range(4) for tq in range(4) if (tp, tq) not in f_off]
-
-    def slots(points):
-        # [point, corner]: flat offset in p of each corner's weight at the
-        # patch points, from the cell's vertex (ci, cj); and whether P
-        # reaches the point, +0.0 weights where it does not (offsets +-3)
-        off = np.array([[(tp - cp, tq - cq) for cp, cq in corners] for tp, tq in points])
-        a, b = np.clip(off, -2, 2).transpose(2, 0, 1) + 2
-        corner = np.array([(cp // 3) * n1 + cq // 3 for cp, cq in corners])
-        return (a * 5 + b) * n1 * n1 + corner, (np.abs(off) <= 2).all(axis=2)
-
-    pf = p.reshape(-1)
-    (rim_slots, reach), (f_slots, _) = slots(rim), slots(f_off)
-    rim_slots, reach = rim_slots[:, :, None], reach[:, :, None]
+    corners = ((0, 0), (1, 0), (0, 1), (1, 1))
     for k in range(0, ci.size, _INTERIOR_BLOCK):
         bi, bj = ci[k : k + _INTERIOR_BLOCK], cj[k : k + _INTERIOR_BLOCK]
-        cell = bi * n1 + bj
-        known = np.where(reach, pf[rim_slots + cell], 0.0)  # [rim point, corner, cell]
+        w = [p[:, :, bi + cp, bj + cq] for cp, cq in corners]  # [corner][a, b, cell]
         a_ff = np.zeros((4, 4, bi.size))
         rhs = np.zeros((4, 4, bi.size))  # one row per corner
         for r, (fp, fq) in enumerate(f_off):
@@ -373,23 +354,22 @@ def boxmg_prolongation(fine_op, refined: np.ndarray,
                 tp, tq = fp + da - 1, fq + db - 1
                 if (tp, tq) in f_off:
                     a_ff[r, f_off.index((tp, tq))] += stn[:, da, db]
-                else:
-                    rhs[r] -= stn[:, da, db] * known[rim.index((tp, tq))]
+                    continue
+                for c, (cp, cq) in enumerate(corners):
+                    a, b = tp - 3 * cp + 2, tq - 3 * cq + 2
+                    if 0 <= a <= 4 and 0 <= b <= 4:
+                        rhs[r, c] -= stn[:, da, db] * w[c][a, b]
         # [cell, point, corner]
         sol = np.linalg.solve(a_ff.transpose(2, 0, 1), rhs.transpose(2, 0, 1))
-        pf[cell[:, None, None] + f_slots] = sol
+        for r, (fp, fq) in enumerate(f_off):
+            for c, (cp, cq) in enumerate(corners):
+                p[fp - 3 * cp + 2, fq - 3 * cq + 2, bi + cp, bj + cq] = sol[:, r, c]
 
     # Hanging fine targets interpolate d-linearly instead.
     if hanging is not None and hanging.any():
         targets = _windows(_padded(hanging))[:, :, 1:6, 1:6].transpose(2, 3, 0, 1)
         np.copyto(p, geometric_prolongation()[:, :, None, None], where=targets)
 
-    # Drop weights pointing outside the fine grid: below offset 0 from the
-    # first coarse row or column, above it from the last.
-    p[:2, :, 0] = 0.0
-    p[3:, :, -1] = 0.0
-    p[:, :2, :, 0] = 0.0
-    p[:, 3:, :, -1] = 0.0
     return p
 
 
@@ -440,27 +420,23 @@ def ritz_galerkin_coarse(fine_op, p_planes: np.ndarray, dof: np.ndarray) -> np.n
     of the cycles (_prolong_planes, fine_op.apply, _restrict_planes).  P
     reaches fine offsets -2..2, so R A P couples vertices at most one apart
     and no two vertices of one colour share a row: entry dw of vertex w is
-    (R A P e_c)[w] for c = (w + dw) mod 3.  Entries towards vertices
-    outside the grid come out zero, as no vertex of their colour lies
-    within reach.
+    (R A P e_c)[w] for c = (w + dw) mod 3, which the probe of c writes
+    straight into plane dw + 1.  Entries towards vertices outside the grid
+    come out zero, as no vertex of their colour lies within reach.
     """
     nc = p_planes.shape[2] - 1
     no_equation = ~dof
-    probed = np.empty((3, 3, nc + 1, nc + 1))
+    planes = np.empty((3, 3, nc + 1, nc + 1))
     for ci in range(3):
         for cj in range(3):
             e = np.zeros((nc + 1, nc + 1))
             e[ci::3, cj::3] = 1.0
             ape = fine_op.apply(_prolong_planes(e, p_planes))
             ape[no_equation] = 0.0
-            probed[ci, cj] = _restrict_planes(_padded(ape), p_planes)
-    v = np.arange(nc + 1)
-    planes = np.empty((3, 3, nc + 1, nc + 1))
-    for a in range(3):
-        for b in range(3):
-            colour_i = ((v + a - 1) % 3)[:, None]
-            colour_j = ((v + b - 1) % 3)[None, :]
-            planes[a, b] = probed[colour_i, colour_j, v[:, None], v[None, :]]
+            rap = _restrict_planes(_padded(ape), p_planes)
+            for a, b in np.ndindex(3, 3):
+                wi, wj = (ci + 1 - a) % 3, (cj + 1 - b) % 3
+                planes[a, b, wi::3, wj::3] = rap[wi::3, wj::3]
     return planes.transpose(2, 3, 0, 1)
 
 

@@ -116,27 +116,20 @@ def dense_boxmg_p(coarse: DenseLevel, fine: DenseLevel, a: np.ndarray) -> np.nda
                 out[along + 1] += row[fine.idx(ii, jj)]
         return out
 
-    # horizontal edges (normal y), then vertical edges (normal x)
-    for ci in range(nc):
-        for cj in range(nc + 1):
-            c1 = lump(3 * ci + 1, 3 * cj, 1)
-            c2 = lump(3 * ci + 2, 3 * cj, 1)
-            m = np.array([[c1[1], c1[2]], [c2[0], c2[1]]])
-            for rhs, col in ((np.array([-c1[0], 0.0]), coarse.idx(ci, cj)),
-                             (np.array([0.0, -c2[2]]), coarse.idx(ci + 1, cj))):
-                w = np.linalg.solve(m, rhs)
-                p[fine.idx(3 * ci + 1, 3 * cj), col] = w[0]
-                p[fine.idx(3 * ci + 2, 3 * cj), col] = w[1]
-    for ci in range(nc + 1):
-        for cj in range(nc):
-            c1 = lump(3 * ci, 3 * cj + 1, 0)
-            c2 = lump(3 * ci, 3 * cj + 2, 0)
-            m = np.array([[c1[1], c1[2]], [c2[0], c2[1]]])
-            for rhs, col in ((np.array([-c1[0], 0.0]), coarse.idx(ci, cj)),
-                             (np.array([0.0, -c2[2]]), coarse.idx(ci, cj + 1))):
-                w = np.linalg.solve(m, rhs)
-                p[fine.idx(3 * ci, 3 * cj + 1), col] = w[0]
-                p[fine.idx(3 * ci, 3 * cj + 2), col] = w[1]
+    # horizontal edges (normal y), then vertical edges (normal x): edge
+    # (ci, cj) runs from c-point (ci, cj) to (ci + ei, cj + ej)
+    for normal, (ei, ej) in ((1, (1, 0)), (0, (0, 1))):
+        for ci in range(nc + 1 - ei):
+            for cj in range(nc + 1 - ej):
+                f1 = (3 * ci + ei, 3 * cj + ej)
+                f2 = (3 * ci + 2 * ei, 3 * cj + 2 * ej)
+                c1, c2 = lump(*f1, normal), lump(*f2, normal)
+                m = np.array([[c1[1], c1[2]], [c2[0], c2[1]]])
+                for rhs, col in ((np.array([-c1[0], 0.0]), coarse.idx(ci, cj)),
+                                 (np.array([0.0, -c2[2]]), coarse.idx(ci + ei, cj + ej))):
+                    w = np.linalg.solve(m, rhs)
+                    p[fine.idx(*f1), col] = w[0]
+                    p[fine.idx(*f2), col] = w[1]
 
     # interior points: A P e = 0 on the four points inside each coarse cell
     for ci in range(nc):

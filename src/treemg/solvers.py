@@ -307,16 +307,16 @@ class ReferenceEngine:
         dof = self.masks[l]["dof"]
         idx = np.argwhere(dof)
         m = len(idx)
-        a = np.zeros((m, m))
-        pos = {(int(i), int(j)): k for k, (i, j) in enumerate(idx)}
-        for k, (i, j) in enumerate(idx):
-            s = tbl[i, j]
-            for a_off in range(3):
-                for b_off in range(3):
-                    t = (int(i) + a_off - 1, int(j) + b_off - 1)
-                    if t in pos:
-                        a[k, pos[t]] += s[a_off, b_off]
-        return np.linalg.inv(a), idx
+        # DoF numbers in idx's order, -1 off the DoFs: couplings to those
+        # land in a's extra last column.  A DoF never lies on the boundary,
+        # so its neighbours' indices stay in range.
+        pos = np.full(dof.shape, -1)
+        pos[dof] = np.arange(m)
+        i, j = idx.T
+        a = np.zeros((m, m + 1))
+        for da, db in np.ndindex(3, 3):
+            a[np.arange(m), pos[i + da - 1, j + db - 1]] += tbl[i, j, da, db]
+        return np.linalg.inv(a[:, :m]), idx
 
     # -- FAS state ----------------------------------------------------------
 

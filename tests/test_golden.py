@@ -23,7 +23,9 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import treemg.operators
 from treemg.bench import make_field
 from treemg.cli import main
 from treemg.operators import TableOperator, boxmg_prolongation, smoothed_restriction_table
@@ -132,7 +134,10 @@ def all_table_digests() -> dict[str, dict[str, str]]:
 def test_boxmg_prolongation_reads_the_operator_rows_bit_for_bit():
     """On every boxmg mesh of the corpus and at every level, P built from
     the fine ElementOperator's rows equals P built from its assembled
-    table bit for bit (as int64 views)."""
+    table bit for bit (as int64 views), and P has no weight towards a fine
+    vertex outside the grid: none below offset 0 from the first coarse row
+    or column, none above it from the last.  TransferOps.restrict_smoothed
+    equals the composed R~ table only because of the latter."""
     for name, tree, flavor in table_corpus():
         if flavor != "boxmg":
             continue
@@ -143,6 +148,23 @@ def test_boxmg_prolongation_reads_the_operator_rows_bit_for_bit():
             got = boxmg_prolongation(fine, refined, hanging)
             want = boxmg_prolongation(TableOperator(fine.table()), refined, hanging)
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), (name, l)
+            outside = (got[:2, :, 0], got[3:, :, -1], got[:, :2, :, 0], got[:, 3:, :, -1])
+            assert not any(w.any() for w in outside), (name, l)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_boxmg_interior_solves_do_not_depend_on_the_chunk(monkeypatch, block):
+    """P of the finest coarse level of a graded mesh, built with the
+    interior solves in chunks of 1 or 7 cells, equals P built in the
+    default chunks bit for bit."""
+    tree = graded_tree("half-jump", 3, 2)
+    eng = ReferenceEngine(tree, SolverConfig(flavor="boxmg"))
+    l = eng.ltop - 1
+    args = (eng.ops[l + 1], tree.refined[l] & tree.cells_exist(l), eng.masks[l + 1]["hanging"])
+    want = boxmg_prolongation(*args)
+    monkeypatch.setattr(treemg.operators, "_INTERIOR_BLOCK", block)
+    got = boxmg_prolongation(*args)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_golden_table_digests():

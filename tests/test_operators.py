@@ -288,6 +288,23 @@ def test_boxmg_gamma_jump_matches_flux_oracle():
     assert w_left[1] > 1.0 / 3.0
 
 
+def test_degenerate_face_stencil_raises_only_on_an_edge_of_a_refined_cell():
+    """Zero rows at fine vertices (1, 0) and (2, 0), the face points of
+    coarse edge (0, 0), collapse its face stencil to nothing: the build
+    raises while a refined cell borders that edge, and solves nothing there
+    once none does."""
+    nc = 3
+    tbl = assemble_stencil_table(np.ones((3 * nc, 3 * nc)))
+    tbl[1, 0] = 0.0
+    tbl[2, 0] = 0.0
+    refined = np.ones((nc, nc), dtype=bool)
+    with pytest.raises(ArithmeticError, match="degenerate collapsed stencil"):
+        boxmg_prolongation(TableOperator(tbl), refined)
+    refined[0, 0] = False
+    p = boxmg_prolongation(TableOperator(tbl), refined)
+    assert not (p[3:, 2, 0, 0].any() or p[:2, 2, 1, 0].any())
+
+
 def test_ritz_galerkin_unit_coefficient_equals_rediscretization():
     nc = 3
     nf = 3 * nc
