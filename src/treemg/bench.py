@@ -58,9 +58,11 @@ BYTES_PER_FINEST_VERTEX = 128
 # after cycle 0), kept at 256 B so that the check refuses the runs it
 # refused before
 BOXMG_BYTES_PER_FINEST_VERTEX = 256
-# the pipelined engine keeps its vertex rows in Python lists: 2.5 to 3.2 kB
-# at lmax 3 to 5, either flavour
-PIPELINED_BYTES_PER_FINEST_VERTEX = 3584
+# the pipelined engine keeps its plan in Python tuples and lists over shared
+# ints and floats: 0.9 to 2.0 kB at lmax 3 to 5, either flavour (traced peak
+# of set-up and two sweeps of half-jump k=3 runs), kept 1.2x above the
+# largest, boxmg at lmax 3
+PIPELINED_BYTES_PER_FINEST_VERTEX = 2560
 
 
 class ConfigError(ValueError):

@@ -178,12 +178,16 @@ class ElementOperator:
     def rows(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Stencil rows of the vertices (i, j), index arrays that
         broadcast: assemble_stencil_table(eps)[i, j] bit for bit, summed
-        onto +0.0 in that function's order.  Cells outside the level read
-        the zero padding (index -1 wraps onto it), and their +-0.0 terms
-        leave every sum as it is."""
-        out = np.zeros((3, 3) + np.broadcast(i, j).shape)
+        onto +0.0 in that function's order.  Each corner's cell is one
+        flat index into the padded eps; a cell in row or column -1 of the
+        level lands on the zero padding (the last row, or the last column
+        of the row before), and its +-0.0 terms leave every sum as it is."""
+        n1 = self.n + 1
+        flat = i * n1 + j
+        out = np.zeros((3, 3) + flat.shape)
+        eps_pad = self._eps_pad.ravel()
         for a, (a0, a1) in enumerate(CORNER_OFFSETS):
-            eps = self._eps_pad[i - a0, j - a1]
+            eps = eps_pad[flat - (a0 * n1 + a1)]
             for b, (b0, b1) in enumerate(CORNER_OFFSETS):
                 out[b0 - a0 + 1, b1 - a1 + 1] += ELEMENT_MATRIX_UNIT[a, b] * eps
         return np.moveaxis(out, (0, 1), (-2, -1))

@@ -44,12 +44,23 @@ store no R~, so the compilation composes their R~ rows from P with
 smoothed_restriction_table, one level at a time.
 
 The traversal is compiled once per mesh, at the first sweep after
-rebuild(): ``traverse`` yields the event stream, and numpy turns it into
-flat rows per vertex id (kind, diagonal, h-weight, prolongation rows,
-which also scatter restrictions and interpolate hanging values, R~ rows,
-damping chain, c-point parent) and per leaf cell (corners, material).  A
-sweep is one loop over the stream on Python lists, with every arithmetic
-expression in the order of the definitions above.
+rebuild(): ``traverse`` yields the event stream, and numpy turns it,
+_VERTEX_BLOCK vertices at a time, into a plan of Python lists and tuples:
+
+- the stream, two parallel lists: event codes, which fold in each
+  vertex's kind, and ids, vertex ids or, on entering a cell, cell indices;
+- per vertex id: diagonal, h-weight, prolongation rows (which also
+  scatter restrictions and interpolate hanging values), R~ rows, damping
+  chain and c-point parent;
+- per leaf cell: the flat tuple (c0, c1, c2, c3, eps) of its corners and
+  material.
+
+The plan holds each number once, as lean per-vertex state: every id is
+the int object of one pool shared by the stream, the rows, the parents
+and the cells, every float is interned by value, and each row is a tuple
+of (source, weight) entries interned by value.  A sweep is one loop over
+zip(codes, ids), with every arithmetic expression in the order of the
+definitions above.
 
 The bookmarks are Python lists over the flat vertex ids and stay in place
 from one sweep to the next, as a stack-based traversal keeps vertex state
@@ -95,13 +106,37 @@ HELPERS = ("sl", "sc", "sf", "b", "bt_r", "bt_w", "acc_au", "tco_r", "tco_w")
  LAST_NONE, LAST_HANGING, LAST_COMPOSITE, LAST_OVERLAPPED) = range(9)
 
 
-def _ragged(keep: np.ndarray, *cols: np.ndarray) -> list[list]:
-    """Per row of keep, the kept entries of cols in column order: tuples
-    for several columns, plain values for one."""
-    picked = [c[keep].tolist() for c in cols]
-    items = picked[0] if len(cols) == 1 else list(zip(*picked))
+# Vertices per chunk of _vertex_rows' index arrays, and values per chunk of
+# _objects' conversions: about 1 MB of (chunk, 9) gathers and masks,
+# whatever the size of the level.
+_VERTEX_BLOCK = 2048
+
+
+class _Interned(dict):
+    """One object per value: pool[v] is the first object equal to v.  +0.0
+    and -0.0 are one key, and a sweep reads no pooled zero: zero weights
+    are skipped, materials and diagonals are positive where they are read,
+    and h-weights are squared."""
+
+    def __missing__(self, value):
+        self[value] = value
+        return value
+
+
+def _objects(get, values: np.ndarray) -> list:
+    """get(v) for each v of the 1-D array values, converted _VERTEX_BLOCK
+    at a time, so that few fresh Python numbers live at once."""
+    out = []
+    for k in range(0, values.size, _VERTEX_BLOCK):
+        out += map(get, values[k : k + _VERTEX_BLOCK].tolist())
+    return out
+
+
+def _ragged(keep: np.ndarray, items: list) -> list[tuple]:
+    """Per row of keep, its share of items, the kept entries in row-major
+    order, as one tuple."""
     ends = np.cumsum(keep.sum(axis=1)).tolist()
-    return [items[a:b] for a, b in zip([0] + ends[:-1], ends)]
+    return [tuple(items[a:b]) for a, b in zip([0] + ends[:-1], ends)]
 
 
 class PipelineEngine(ReferenceEngine):
@@ -155,11 +190,16 @@ class PipelineEngine(ReferenceEngine):
     # -- compilation -----------------------------------------------------------
 
     def _compile(self) -> SimpleNamespace:
-        """Event stream and flat per-vertex and per-cell rows of this mesh."""
+        """Event stream and flat per-vertex and per-cell rows of this mesh,
+        built from one pool of vertex-id ints and interned floats and row
+        entries."""
         tree, cfg = self.tree, self.cfg
         l0, ltop = tree.lmin, self.ltop
         plan = traverse(tree, self.child_order)
         off = plan.offsets
+        # one int object per vertex id, also taken for the cell indices,
+        # which are fewer
+        pool, floats = list(range(off[-1])), _Interned()
 
         def per_vertex(arrays, fill):
             out = np.full(off[-1], fill)
@@ -167,6 +207,10 @@ class PipelineEngine(ReferenceEngine):
                 out[off[l]:off[l + 1]] = np.broadcast_to(arrays[l], tree.u[l].shape).ravel()
             return out
 
+        # the rows before the stream's index arrays exist: built after them,
+        # they raised the traced peak of set-up and two sweeps by a fifth
+        rows = self._vertex_rows(plan, pool, floats)
+        cells = self._cell_rows(plan, pool, floats)
         kind = per_vertex({l: m["kinds"] for l, m in self.masks.items()}, VertexKind.NONE)
         level = np.repeat(np.arange(ltop + 1), np.diff(off))
         first = np.select([kind == VertexKind.HANGING, kind == VertexKind.DIRICHLET],
@@ -187,74 +231,98 @@ class PipelineEngine(ReferenceEngine):
         keep = ev_level >= l0
         keep[cell] &= ~plan.cell_refined[ev[cell]]
         return SimpleNamespace(
-            stream=list(zip(code[keep].tolist(), ev[keep].tolist())), offsets=off,
-            cells=self._cell_rows(plan), diag=per_vertex(self.diag, 1.0).tolist(),
-            hw=per_vertex(self.hweight, 0.0).tolist(),
-            **self._vertex_rows(plan))
+            codes=code[keep].tolist(), ids=_objects(pool.__getitem__, ev[keep]),
+            offsets=off, cells=cells,
+            diag=_objects(floats.__getitem__, per_vertex(self.diag, 1.0)),
+            hw=_objects(floats.__getitem__, per_vertex(self.hweight, 0.0)), **rows)
 
-    def _vertex_rows(self, plan: TraversalPlan) -> dict[str, list]:
-        """Per flat vertex id: prolongation rows and R~ rows as (source,
-        weight) lists in the order wi outer, wj inner with zero weights
-        skipped, damping-chain sources and c-point parent.  A prolongation
-        row also scatters the vertex's residual to the coarser level, and
-        at a hanging vertex it gives the value: both flavours' P hold the
-        d-linear weights there, at most two terms along a coarse edge."""
+    def _vertex_rows(self, plan: TraversalPlan, pool: list,
+                     floats: _Interned) -> dict[str, list]:
+        """Per flat vertex id: prolongation rows and R~ rows as tuples of
+        (source, weight) entries in the order wi outer, wj inner with zero
+        weights skipped, damping-chain sources and c-point parent.  A
+        prolongation row also scatters the vertex's residual to the coarser
+        level, and at a hanging vertex it gives the value: both flavours' P
+        hold the d-linear weights there, at most two terms along a coarse
+        edge.  Every source is the pool's int, every weight an interned
+        float, every entry interned by value; the index arrays run over
+        _VERTEX_BLOCK vertices at a time."""
         l0, ltop = self.tree.lmin, self.ltop
         jac, pi = self.cfg.variant == "adafac-jac", self.cfg.variant == "adafac-pi"
         off, ids = plan.offsets, plan.vertex_id
         nv = off[-1]
         rows = {name: [()] * nv for name in ("prow", "rrow", "chain")}
-        cpar = np.full(nv, -1)
+        cpar = [-1] * nv
         geo = geometric_prolongation()
+
+        def entry_rows(keep, src, w):
+            ents = zip(map(pool.__getitem__, src[keep].tolist()),
+                       map(floats.__getitem__, w[keep].tolist()))
+            return _ragged(keep, list(map(entries.__getitem__, ents)))
+
         for l in range(l0, ltop + 1):
-            lc, nc, span = l - 1, 3 ** (l - 1), slice(off[l], off[l + 1])
-            I, J = np.divmod(np.arange(off[l + 1] - off[l]), 3**l + 1)
-            if l > l0:
-                tr = self.transfers[lc]
-                ci = np.maximum(0, (I - 1) // 3)[:, None] + np.repeat(np.arange(3), 3)
-                cj = np.maximum(0, (J - 1) // 3)[:, None] + np.tile(np.arange(3), 3)
-                ok = (ci <= np.minimum(nc, (I + 3) // 3)[:, None]) & \
-                     (cj <= np.minimum(nc, (J + 3) // 3)[:, None])
-                ci, cj = np.minimum(ci, nc), np.minimum(cj, nc)
-                di, dj = I[:, None] - 3 * ci, J[:, None] - 3 * cj
-                # P's planes reach offsets -2..2, R~'s table -3..3
-                near = (np.abs(di) <= 2) & (np.abs(dj) <= 2)
-                pa, pb = np.clip(di, -2, 2) + 2, np.clip(dj, -2, 2) + 2
-                w = geo[pa, pb] if tr.p_planes is None else tr.p_planes[pa, pb, ci, cj]
-                rows["prow"][span] = _ragged(ok & near & (w != 0.0), ids(lc, ci, cj), w)
-                oi, oj = np.clip(di, -3, 3) + 3, np.clip(dj, -3, 3) + 3
-                if jac:
-                    rt = (tr.rtilde[oi, oj] if tr.p_planes is None else
-                          smoothed_restriction_table(tr.p_planes, tr.omega)[ci, cj, oi, oj])
-                    rows["rrow"][span] = _ragged(ok & (rt != 0.0), ids(lc, ci, cj), rt)
-                cpt = (I % 3 == 0) & (J % 3 == 0)
-                cpar[span][cpt] = ids(lc, I // 3, J // 3)[cpt]
-            if not (jac or pi):
-                continue
-            # injected damping of finer levels: the injection targets at the
-            # vertex's position on levels k, as long as each one is injected;
-            # adafac-jac reads the damping of level k + 1 below the top
-            alive, live, srcs = np.ones(len(I), dtype=bool), [], []
-            for k in range(l, ltop - 1 if jac else ltop):
-                s = 3 ** (k - l)
-                alive = alive & self.masks[k]["injected"][I * s, J * s]
-                live.append(alive)
-                srcs.append(ids(k + 1, 3 * I * s, 3 * J * s) if jac else ids(k, I * s, J * s))
-            if srcs:
-                rows["chain"][span] = _ragged(np.stack(live, axis=1), np.stack(srcs, axis=1))
-        rows["cpar"] = cpar.tolist()
+            lc, nc = l - 1, 3 ** (l - 1)
+            tr = self.transfers[lc] if l > l0 else None
+            rtable = (smoothed_restriction_table(tr.p_planes, tr.omega)
+                      if jac and tr is not None and tr.p_planes is not None else None)
+            # the sources of this level's entries lie on level lc only
+            entries = _Interned()
+            for start in range(off[l], off[l + 1], _VERTEX_BLOCK):
+                span = slice(start, min(start + _VERTEX_BLOCK, off[l + 1]))
+                I, J = np.divmod(np.arange(span.start, span.stop) - off[l], 3**l + 1)
+                if tr is not None:
+                    ci = np.maximum(0, (I - 1) // 3)[:, None] + np.repeat(np.arange(3), 3)
+                    cj = np.maximum(0, (J - 1) // 3)[:, None] + np.tile(np.arange(3), 3)
+                    ok = (ci <= np.minimum(nc, (I + 3) // 3)[:, None]) & \
+                         (cj <= np.minimum(nc, (J + 3) // 3)[:, None])
+                    ci, cj = np.minimum(ci, nc), np.minimum(cj, nc)
+                    di, dj = I[:, None] - 3 * ci, J[:, None] - 3 * cj
+                    src = ids(lc, ci, cj)
+                    # P's planes reach offsets -2..2, R~'s table -3..3
+                    near = (np.abs(di) <= 2) & (np.abs(dj) <= 2)
+                    pa, pb = np.clip(di, -2, 2) + 2, np.clip(dj, -2, 2) + 2
+                    w = geo[pa, pb] if tr.p_planes is None else tr.p_planes[pa, pb, ci, cj]
+                    rows["prow"][span] = entry_rows(ok & near & (w != 0.0), src, w)
+                    oi, oj = np.clip(di, -3, 3) + 3, np.clip(dj, -3, 3) + 3
+                    if jac:
+                        rt = (tr.rtilde[oi, oj] if tr.p_planes is None else
+                              rtable[ci, cj, oi, oj])
+                        rows["rrow"][span] = entry_rows(ok & (rt != 0.0), src, rt)
+                    cpt = np.flatnonzero((I % 3 == 0) & (J % 3 == 0))
+                    parents = ids(lc, I[cpt] // 3, J[cpt] // 3).tolist()
+                    for x, p in zip((span.start + cpt).tolist(), parents):
+                        cpar[x] = pool[p]
+                if not (jac or pi):
+                    continue
+                # injected damping of finer levels: the injection targets at
+                # the vertex's position on levels k, as long as each one is
+                # injected; adafac-jac reads the damping of level k + 1
+                # below the top
+                alive, live, srcs = np.ones(len(I), dtype=bool), [], []
+                for k in range(l, ltop - 1 if jac else ltop):
+                    s = 3 ** (k - l)
+                    alive = alive & self.masks[k]["injected"][I * s, J * s]
+                    live.append(alive)
+                    srcs.append(ids(k + 1, 3 * I * s, 3 * J * s) if jac else ids(k, I * s, J * s))
+                if srcs:
+                    keep = np.stack(live, axis=1)
+                    chain = np.stack(srcs, axis=1)[keep].tolist()
+                    rows["chain"][span] = _ragged(keep, list(map(pool.__getitem__, chain)))
+        rows["cpar"] = cpar
         return rows
 
-    def _cell_rows(self, plan: TraversalPlan) -> list:
-        """Per leaf cell of lmin and finer: its corners and its material
-        sample, which scales the unit element matrix."""
+    def _cell_rows(self, plan: TraversalPlan, pool: list, floats: _Interned) -> list:
+        """Per leaf cell of lmin and finer: the flat tuple of its corners,
+        the pool's ints, and its material sample, an interned float that
+        scales the unit element matrix."""
         cells = [None] * len(plan.cell_level)
         for l in range(self.tree.lmin, self.ltop + 1):
             idx = np.flatnonzero((plan.cell_level == l) & ~plan.cell_refined)
             corners = plan.cell_corners[idx]
             ci, cj = np.divmod(corners[:, 0] - plan.offsets[l], 3**l + 1)
-            cells_l = zip(corners.tolist(), self.eff_eps[l][ci, cj].tolist())
-            for k, row in zip(idx.tolist(), cells_l):
+            cols = [_objects(pool.__getitem__, c) for c in corners.T]
+            cols.append(_objects(floats.__getitem__, self.eff_eps[l][ci, cj]))
+            for k, row in zip(idx.tolist(), zip(*cols)):
                 cells[k] = row
         return cells
 
@@ -281,9 +349,9 @@ class PipelineEngine(ReferenceEngine):
         counters = TraversalCounters({}, {}) if count_touches else None
         l2h = linf = 0.0
 
-        for code, x in plan.stream:
+        for code, x in zip(plan.codes, plan.ids):
             if code == ENTER:
-                (c0, c1, c2, c3), eps = cells[x]
+                c0, c1, c2, c3, eps = cells[x]
                 u0, u1, u2, u3 = u[c0], u[c1], u[c2], u[c3]
                 au[c0] += eps * (e00 * u0 + e01 * u1 + e02 * u2 + e03 * u3)
                 au[c1] += eps * (e10 * u0 + e11 * u1 + e12 * u2 + e13 * u3)

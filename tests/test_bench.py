@@ -230,6 +230,8 @@ def test_memory_estimate_rejects_oversized_runs(monkeypatch, capsys):
     ("reference", "geometric", 5, bench.BYTES_PER_FINEST_VERTEX),
     ("reference", "boxmg", 5, bench.BOXMG_BYTES_PER_FINEST_VERTEX),
     ("pipelined", "geometric", 3, bench.PIPELINED_BYTES_PER_FINEST_VERTEX),
+    ("pipelined", "boxmg", 3, bench.PIPELINED_BYTES_PER_FINEST_VERTEX),
+    ("pipelined", "geometric", 4, bench.PIPELINED_BYTES_PER_FINEST_VERTEX),
 ])
 def test_memory_estimate_covers_the_measured_peak(engine, flavor, lmax, per_vertex):
     """The traced peak of set-up and two cycles stays under the estimate
@@ -259,6 +261,21 @@ def test_boxmg_peak_over_a_whole_solve_stays_below_140_bytes_per_finest_vertex()
         tracemalloc.stop()
     assert result.status == bench.EXIT_CONVERGED and result.reports[-1].cycle == 68
     assert peak / (3**5 + 1) ** 2 < 140
+
+
+def test_pipelined_peak_stays_below_1600_bytes_per_finest_vertex():
+    """The traced peak of set-up and two sweeps of a pipelined half-jump
+    k=3 run at lmax 4 stays below 1,600 B per finest vertex.  With a Python
+    object of its own for every vertex id, row entry and leaf cell of the
+    plan it was 3,134 B."""
+    cfg = ExperimentConfig(setup="half-jump", k=3, engine="pipelined", lmax=4, max_cycles=2)
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (3**4 + 1) ** 2 < 1600
 
 
 def test_cli_help_exits_zero(capsys):

@@ -227,7 +227,7 @@ def test_hanging_weights_are_the_dlinear_products(graded, flavor):
 def test_stream_enters_each_leaf_cell_once(graded):
     pipe = PipelineEngine(graded, SolverConfig(variant="adafac-jac"))
     plan = pipe._compile()
-    entered = [x for code, x in plan.stream if code == ENTER]
+    entered = [x for code, x in zip(plan.codes, plan.ids) if code == ENTER]
     leaves = 0
     for l in range(graded.lmin, pipe.ltop + 1):
         leaf = graded.cells_exist(l)
@@ -236,6 +236,31 @@ def test_stream_enters_each_leaf_cell_once(graded):
         leaves += int(leaf.sum())
     assert len(entered) == len(set(entered)) == leaves
     assert all(plan.cells[x] is not None for x in entered)
+
+
+@pytest.mark.parametrize("flavor", ["geometric", "boxmg"])
+def test_plan_holds_one_object_per_value(graded, flavor):
+    """The compiled plan shares its numbers: each vertex id is one int
+    object wherever it appears, and equal weights, materials, diagonals
+    and row entries are one object each."""
+    pipe = PipelineEngine(graded, SolverConfig(variant="adafac-jac", flavor=flavor))
+    plan = pipe._compile()
+    ints, floats, entries = {}, {}, {}
+
+    def shared(pool, values):
+        return all(pool.setdefault(v, v) is v for v in values)
+
+    cells = [row for row in plan.cells if row is not None]
+    rows = [row for table in (plan.prow, plan.rrow) for row in table]
+    assert all(type(row) is tuple for row in rows + cells + plan.chain)
+    assert shared(ints, plan.ids)
+    assert shared(ints, [c for row in cells for c in row[:4]])
+    assert shared(ints, [s for row in plan.chain for s in row])
+    assert shared(ints, [p for p in plan.cpar if p >= 0] + [s for row in rows for s, _ in row])
+    assert shared(floats, [row[4] for row in cells] + plan.diag + plan.hw)
+    assert shared(floats, [w for row in rows for _, w in row])
+    assert shared(entries, [e for row in rows for e in row])
+    assert len(entries) < sum(map(len, rows))
 
 
 def _swept_pair(graded, sweeps):
